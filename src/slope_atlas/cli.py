@@ -2,20 +2,19 @@
 
 Subcommands: classify, monodromy, region, batch, plot.  Exit codes: 0 on
 success, 2 on malformed input (the diagnostic names the offending token),
-3 when independent verdict rules contradict each other.  The environment
-variable SLOPE_ATLAS_THREADS caps the worker threads used by batch.
+3 when independent verdict rules contradict each other.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import re
+import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .lspace import two_component_region
@@ -26,7 +25,7 @@ from .monodromy import (
     labels,
     parse_monodromy,
 )
-from .slopes import parse_slope
+from .slopes import SLOPE_RE, ExtRational, parse_slope
 from .whitehead import (
     InconsistentVerdictError,
     classify,
@@ -35,14 +34,22 @@ from .whitehead import (
 )
 
 
+_BOUNDS_RE = re.compile(r"(-?[0-9]+):(-?[0-9]+),(-?[0-9]+):(-?[0-9]+)")
+
+# Largest plot grid, in (numerator, denominator) points; the pair count
+# grows with the square of it.
+MAX_GRID_POINTS = 1024
+
+
 class _Parser(argparse.ArgumentParser):
-    # Accept slopes like -7/2 as positional values instead of option
-    # strings; plain "--" before the slopes works as well.  The matcher is
+    # Accept slopes like -7/2 and bounds like -3:3,1:4 as values instead of
+    # option strings; plain "--" before them works as well.  The matcher is
     # an instance attribute set by argparse, so it must be replaced here,
     # not shadowed at class level.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/-?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            rf"(?=-)(?:{SLOPE_RE.pattern}|{_BOUNDS_RE.pattern})\Z")
 
 
 def _arc_json(a):
@@ -57,21 +64,40 @@ def _region_json(r):
 
 
 def _region_lines(r):
-    out = []
-    for box in r.boxes:
-        out.append("  " + " x ".join(str(a) for a in box))
-    for i in r.lines:
-        coords = ["Q*"] * r.dim
-        coords[i] = "{inf}"
-        out.append("  " + " x ".join(coords))
-    if not out:
-        out.append("  (empty)")
-    return out
+    return ["  " + piece for piece in r.pieces() or ["(empty)"]]
+
+
+@contextlib.contextmanager
+def _atomic_out(path, newline=None):
+    """Text handle whose contents replace ``path`` only when the block
+    completes, with the mode ``open(path, "w")`` would leave."""
+    target = os.path.realpath(path)
+    exists = os.path.exists(target)
+    if exists and not os.path.isfile(target):
+        # A device or pipe such as /dev/stdout cannot be replaced.
+        with open(target, "w", newline=newline) as fh:
+            yield fh
+        return
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path
+        raise
+    try:
+        with open(fd, "w", newline=newline) as fh:
+            if exists:
+                shutil.copymode(target, tmp)
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
+        with _atomic_out(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -141,20 +167,6 @@ def cmd_region(args):
     return 0
 
 
-def _worker_count():
-    env = os.environ.get("SLOPE_ATLAS_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0
-        if n >= 1:
-            return n
-        print(f"warning: ignoring invalid SLOPE_ATLAS_THREADS={env!r}",
-              file=sys.stderr)
-    return min(8, os.cpu_count() or 1)
-
-
 def parse_batch_header(row):
     """Validate the batch header; returns True when a label column is
     present."""
@@ -178,56 +190,51 @@ def parse_batch_row(row, has_label):
 
 
 def cmd_batch(args):
-    with open(args.input, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{args.input}: empty file, missing header")
-    has_label = parse_batch_header(rows[0])
-    parsed = []
-    failures = 0
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            parsed.append(parse_batch_row(row, has_label))
-        except ValueError as exc:
-            failures += 1
-            print(f"{args.input}:{lineno}: {exc}", file=sys.stderr)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        verdicts = list(pool.map(lambda r: classify(r[1], r[2]), parsed))
+    """Classify the input CSV row by row in one pass; memory stays flat."""
     header = ["id", "s1", "s2", "qhs", "h1", "h2", "lspace", "foliation",
               "euler_zero", "left_orderable"]
-    if has_label:
-        header += ["label", "agrees"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    counts = {"lspace": 0, "foliation": 0, "non-qhs": 0}
-    lo_counts = {"yes": 0, "no": 0, "unknown": 0, "na": 0}
-    agree = 0
-    for (ident, s1, s2, label), v in zip(parsed, verdicts):
-        counts[plot_class(v)] += 1
-        lo_counts[v.left_orderable.value] += 1
-        out_row = [ident, str(s1), str(s2),
-                   "true" if v.is_qhs else "false",
-                   str(v.homology[0]), str(v.homology[1]),
-                   v.lspace.value, v.taut_foliation.value,
-                   v.euler_vanishing.value, v.left_orderable.value]
+    tally = dict.fromkeys(["lspace", "foliation", "non-qhs"] + [
+        f"left-orderable {k}" for k in ("yes", "no", "unknown", "na")], 0)
+    done = agree = failures = 0
+    with open(args.input, newline="") as fh:
+        rows = csv.reader(fh)
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{args.input}: empty file, missing header")
+        has_label = parse_batch_header(first)
         if has_label:
-            ok = label == v.left_orderable.value
-            agree += ok
-            out_row += [label, "true" if ok else "false"]
-        writer.writerow(out_row)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(buf.getvalue())
-    print(f"rows: {len(parsed)}")
-    print(f"lspace: {counts['lspace']}")
-    print(f"foliation: {counts['foliation']}")
-    print(f"non-qhs: {counts['non-qhs']}")
-    for key in ("yes", "no", "unknown", "na"):
-        print(f"left-orderable {key}: {lo_counts[key]}")
+            header += ["label", "agrees"]
+        with _atomic_out(args.out, newline="") as out:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(header)
+            for lineno, row in enumerate(rows, start=2):
+                if not row:
+                    continue
+                try:
+                    ident, s1, s2, label = parse_batch_row(row, has_label)
+                except ValueError as exc:
+                    failures += 1
+                    print(f"{args.input}:{lineno}: {exc}", file=sys.stderr)
+                    continue
+                v = classify(s1, s2)
+                done += 1
+                tally[plot_class(v)] += 1
+                tally["left-orderable " + v.left_orderable.value] += 1
+                out_row = [ident, str(s1), str(s2),
+                           "true" if v.is_qhs else "false",
+                           str(v.homology[0]), str(v.homology[1]),
+                           v.lspace.value, v.taut_foliation.value,
+                           v.euler_vanishing.value, v.left_orderable.value]
+                if has_label:
+                    ok = label == v.left_orderable.value
+                    agree += ok
+                    out_row += [label, "true" if ok else "false"]
+                writer.writerow(out_row)
+    print(f"rows: {done}")
+    for key, n in tally.items():
+        print(f"{key}: {n}")
     if has_label:
-        print(f"label agreement: {agree}/{len(parsed)}")
+        print(f"label agreement: {agree}/{done}")
     if failures:
         print(f"failed rows: {failures}", file=sys.stderr)
         return 2
@@ -235,28 +242,26 @@ def cmd_batch(args):
 
 
 def parse_bounds(text):
-    m = re.fullmatch(r"(-?\d+):(-?\d+),(-?\d+):(-?\d+)", text.strip())
+    m = _BOUNDS_RE.fullmatch(text.strip())
     if not m:
         raise ValueError(f"invalid bounds {text!r}: expected "
                          "'pmin:pmax,qmin:qmax'")
     pmin, pmax, qmin, qmax = (int(g) for g in m.groups())
     if pmin > pmax or qmin > qmax:
         raise ValueError(f"degenerate bounds {text!r}")
+    if (pmax - pmin + 1) * (qmax - qmin + 1) > MAX_GRID_POINTS:
+        raise ValueError(f"bounds {text!r} span more than "
+                         f"{MAX_GRID_POINTS} grid points")
     return pmin, pmax, qmin, qmax
 
 
 def grid_slopes(bounds, max_den=None):
     """Canonical slopes p/q on the integer grid, sorted with infinity last."""
     pmin, pmax, qmin, qmax = bounds
-    seen = set()
-    for p in range(pmin, pmax + 1):
-        for q in range(qmin, qmax + 1):
-            if p == 0 and q == 0:
-                continue
-            s = parse_slope(f"{p}/{q}")
-            if max_den is not None and s.den > max_den:
-                continue
-            seen.add(s)
+    seen = {ExtRational(p, q) for p in range(pmin, pmax + 1)
+            for q in range(qmin, qmax + 1) if p or q}
+    if max_den is not None:
+        seen = {s for s in seen if s.den <= max_den}
     return sorted(seen, key=lambda s: (1,) if s.is_infinite()
                   else (0, Fraction(s.num, s.den)))
 

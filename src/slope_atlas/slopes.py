@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 
@@ -123,22 +124,30 @@ def normalize(num, den):
     return ExtRational(num, den)
 
 
+# The one slope grammar: "inf", or an ASCII integer with an optional ASCII
+# integer denominator.  int() alone would also take "+3", "1_0" and
+# non-ASCII digits such as "\u0663".
+SLOPE_RE = re.compile(r"inf|(-?[0-9]+)(?:/(-?[0-9]+))?")
+_match_slope = SLOPE_RE.fullmatch
+MAX_SLOPE_TOKEN = 100
+
+
 def parse_slope(text):
     """Parse 'p', 'p/q' or 'inf' into a slope.
 
-    Raises ValueError naming the offending token on anything else.
+    Raises ValueError naming the offending token, cut to MAX_SLOPE_TOKEN
+    characters, on anything else.
     """
     tok = text.strip()
-    if tok == "inf":
+    m = len(tok) <= MAX_SLOPE_TOKEN and _match_slope(tok)
+    if not m:
+        shown = text[:MAX_SLOPE_TOKEN] + "..." * (len(text) > MAX_SLOPE_TOKEN)
+        raise ValueError(f"invalid slope token {shown!r}")
+    num, den = m.groups()
+    if num is None:
         return INF
-    parts = tok.split("/")
-    if len(parts) not in (1, 2) or not tok:
-        raise ValueError(f"invalid slope token {text!r}")
-    try:
-        num = int(parts[0])
-        den = int(parts[1]) if len(parts) == 2 else 1
-    except (ValueError, TypeError):
-        raise ValueError(f"invalid slope token {text!r}") from None
+    num = int(num)
+    den = int(den) if den else 1
     if num == 0 and den == 0:
         raise ValueError(f"invalid slope token {text!r} (0/0 is not a slope)")
     return ExtRational(num, den)
@@ -396,17 +405,17 @@ class Region:
                 return True
         return False
 
-    def __str__(self):
-        pieces = []
-        for box in self.boxes:
-            pieces.append(" x ".join(str(a) for a in box))
+    def pieces(self):
+        """The boxes and infinity lines, rendered one string each."""
+        pieces = [" x ".join(str(a) for a in box) for box in self.boxes]
         for i in self.lines:
             coords = ["Q*"] * self.dim
             coords[i] = "{inf}"
             pieces.append(" x ".join(coords))
-        if not pieces:
-            return "(empty)"
-        return "  u  ".join(pieces)
+        return pieces
+
+    def __str__(self):
+        return "  u  ".join(self.pieces()) or "(empty)"
 
 
 def empty_region(dim):

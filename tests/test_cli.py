@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 
 from slope_atlas import cli
 from slope_atlas.slopes import parse_slope
-from slope_atlas.whitehead import classify, plot_class
+from slope_atlas.whitehead import InconsistentVerdictError, classify, plot_class
 
 
 def run_cli(*argv):
@@ -227,18 +228,72 @@ def test_batch_bad_header_and_empty_file(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
-def test_batch_thread_env(tmp_path, capsys, monkeypatch):
-    src = _write_csv(tmp_path / "in.csv", "id,s1,s2\na,1,1\n")
+def test_batch_out_is_atomic(tmp_path, capsys, monkeypatch):
+    src = _write_csv(tmp_path / "in.csv", "id,s1,s2\na,1,1\nb,2,2\nc,3,3\n")
     out = tmp_path / "out.csv"
-    monkeypatch.setenv("SLOPE_ATLAS_THREADS", "1")
+    out.write_bytes(b"old contents\n")
+    calls = []
+
+    def failing_classify(s1, s2):
+        calls.append((s1, s2))
+        if len(calls) == 3:
+            raise InconsistentVerdictError("rules disagree")
+        return classify(s1, s2)
+
+    monkeypatch.setattr(cli, "classify", failing_classify)
+    assert run_cli("batch", src, "--out", str(out)) == 3
+    assert "inconsistency" in capsys.readouterr().err
+    assert out.read_bytes() == b"old contents\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.csv", "out.csv"]
+
+    monkeypatch.setattr(cli, "classify", classify)
+    old_umask = os.umask(0o027)
+    try:
+        fresh = tmp_path / "fresh.csv"
+        assert run_cli("batch", src, "--out", str(fresh)) == 0
+        assert run_cli("classify", "1", "1", "--out",
+                       str(tmp_path / "fresh.json")) == 0
+    finally:
+        os.umask(old_umask)
+    capsys.readouterr()
+    # The mode open(path, "w") gives: 0o666 less the umask for a new file,
+    # the old mode for an existing one.
+    assert fresh.stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "fresh.json").stat().st_mode & 0o777 == 0o640
+    out.chmod(0o600)
     assert run_cli("batch", src, "--out", str(out)) == 0
-    assert "warning" not in capsys.readouterr().err
-    monkeypatch.setenv("SLOPE_ATLAS_THREADS", "zero")
-    assert run_cli("batch", src, "--out", str(out)) == 0
-    assert "SLOPE_ATLAS_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SLOPE_ATLAS_THREADS", "-3")
-    assert run_cli("batch", src, "--out", str(out)) == 0
-    assert "warning" in capsys.readouterr().err
+    capsys.readouterr()
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert out.read_text().count("\n") == 4
+    assert sorted(os.listdir(tmp_path)) == [
+        "fresh.csv", "fresh.json", "in.csv", "out.csv"]
+
+
+def test_batch_memory_flat_in_row_count(tmp_path):
+    # Peak RSS of a fresh interpreter running batch must not grow with the
+    # row count: rows are streamed, not collected.
+    script = (
+        "import resource, sys\n"
+        "from slope_atlas import cli\n"
+        "rc = cli.main(['batch', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    peaks = {}
+    for n in (2_000, 20_000):
+        src = tmp_path / f"in{n}.csv"
+        src.write_text("id,s1,s2\n" + "".join(
+            f"r{i},{i % 41 - 20}/{i % 13 + 1},{i % 37 - 18}/{i % 11 + 1}\n"
+            for i in range(n)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(src), str(tmp_path / "o.csv")],
+            capture_output=True, text=True, env=env, check=True)
+        rc, maxrss = proc.stdout.split()[-2:]
+        assert rc == "0"
+        # ru_maxrss is in KiB on Linux and in bytes on macOS.
+        peaks[n] = int(maxrss) / (1024 * 1024 if sys.platform == "darwin"
+                                  else 1024)
+    assert peaks[20_000] - peaks[2_000] < 5, peaks
 
 
 def test_batch_round_trip_consistency(tmp_path, capsys):
@@ -335,7 +390,21 @@ def test_plot_rejects_bad_bounds(capsys):
     assert run_cli("plot", "--bounds", "1:2") == 2
     assert run_cli("plot", "--bounds", "2:1,0:1") == 2
     assert run_cli("plot", "--bounds", "1:2,1:2", "--max-den", "0") == 2
+    assert run_cli("plot", "--bounds", "1:\u0663,1:2") == 2
     capsys.readouterr()
+    # Every point of a 0:0 grid is the slope 0, so only the cap can fail.
+    top = cli.MAX_GRID_POINTS
+    assert run_cli("plot", f"--bounds=0:0,1:{top}") == 0
+    capsys.readouterr()
+    assert run_cli("plot", f"--bounds=0:0,0:{top}") == 2
+    assert "grid points" in capsys.readouterr().err
+
+
+def test_plot_accepts_bare_negative_bounds(capsys):
+    assert run_cli("plot", "--bounds=-2:2,1:3") == 0
+    expected = capsys.readouterr().out
+    assert run_cli("plot", "--bounds", "-2:2,1:3") == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_bounds_parser():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from slope_atlas.slopes import (
     INF,
+    MAX_SLOPE_TOKEN,
     ONE,
     ZERO,
     CircularArc,
@@ -95,11 +96,15 @@ def test_parse_and_format_round_trip():
 
 
 @pytest.mark.parametrize("bad", ["", "foo", "1/2/3", "1.5", "0/0", "--2",
-                                 "inf/2", "2/inf"])
+                                 "inf/2", "2/inf", "1_0/3", "\u0663", "+3",
+                                 "3/ 4",
+                                 pytest.param("9" * 5000, id="5000-digits")])
 def test_parse_rejects_garbage_naming_token(bad):
     with pytest.raises(ValueError) as err:
         parse_slope(bad)
-    assert repr(bad) in str(err.value) or bad in str(err.value)
+    msg = str(err.value)
+    assert repr(bad) in msg or bad[:MAX_SLOPE_TOKEN] in msg
+    assert len(msg) < 2 * MAX_SLOPE_TOKEN
 
 
 def test_arc_membership_frozen_examples():
