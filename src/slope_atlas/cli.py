@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import re
-import shutil
+import stat
 import sys
 from fractions import Fraction
 
@@ -70,14 +70,22 @@ def _region_lines(r):
 @contextlib.contextmanager
 def _atomic_out(path, newline=None):
     """Text handle whose contents replace ``path`` only when the block
-    completes, with the mode ``open(path, "w")`` would leave."""
-    target = os.path.realpath(path)
-    exists = os.path.exists(target)
-    if exists and not os.path.isfile(target):
+    completes.  A target ``open(path, "w")`` would refuse is refused; a new
+    file gets the mode that call gives and an existing one keeps its mode.
+    The result is a new file, so hard links to the old one keep the old
+    contents and its owner is the writer."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
         # A device or pipe such as /dev/stdout cannot be replaced.
-        with open(target, "w", newline=newline) as fh:
+        with open(path, "w", newline=newline) as fh:
             yield fh
         return
+    if st is not None:
+        os.close(os.open(path, os.O_WRONLY))  # permission check; no truncate
+    target = os.path.realpath(path)
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -86,8 +94,8 @@ def _atomic_out(path, newline=None):
         raise
     try:
         with open(fd, "w", newline=newline) as fh:
-            if exists:
-                shutil.copymode(target, tmp)
+            if st is not None:
+                os.chmod(fd, stat.S_IMODE(st.st_mode))
             yield fh
         os.replace(tmp, target)
     except BaseException:
@@ -378,10 +386,7 @@ def main(argv=None):
     except InconsistentVerdictError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

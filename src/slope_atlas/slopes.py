@@ -140,17 +140,18 @@ def parse_slope(text):
     """
     tok = text.strip()
     m = len(tok) <= MAX_SLOPE_TOKEN and _match_slope(tok)
-    if not m:
-        shown = text[:MAX_SLOPE_TOKEN] + "..." * (len(text) > MAX_SLOPE_TOKEN)
-        raise ValueError(f"invalid slope token {shown!r}")
-    num, den = m.groups()
-    if num is None:
-        return INF
-    num = int(num)
-    den = int(den) if den else 1
-    if num == 0 and den == 0:
-        raise ValueError(f"invalid slope token {text!r} (0/0 is not a slope)")
-    return ExtRational(num, den)
+    if m:
+        num, den = m.groups()
+        if num is None:
+            return INF
+        num, den = int(num), int(den or 1)
+        if num or den:
+            return ExtRational(num, den)
+    # Echo the token as given; a long one by the start of its stripped text.
+    shown = text if len(text) <= MAX_SLOPE_TOKEN else (
+        tok[:MAX_SLOPE_TOKEN] + "..." * (len(tok) > MAX_SLOPE_TOKEN))
+    raise ValueError(f"invalid slope token {shown!r}"
+                     + (" (0/0 is not a slope)" if m else ""))
 
 
 def format_slope(x):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -267,6 +268,54 @@ def test_batch_out_is_atomic(tmp_path, capsys, monkeypatch):
     assert out.read_text().count("\n") == 4
     assert sorted(os.listdir(tmp_path)) == [
         "fresh.csv", "fresh.json", "in.csv", "out.csv"]
+
+    # A target open(path, "w") refuses must not be replaced behind its back.
+    out.chmod(0o444)
+    if os.geteuid() == 0:
+        # The superuser may write any file; refuse as for any other user.
+        real_open = os.open
+
+        def guarded_open(path, flags, *args, **kwargs):
+            if os.fspath(path) == str(out) and flags & os.O_WRONLY:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                      path)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", guarded_open)
+    before = out.read_bytes()
+    assert run_cli("batch", src, "--out", str(out)) == 2
+    assert "Permission denied" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert out.stat().st_mode & 0o777 == 0o444
+    assert sorted(os.listdir(tmp_path)) == [
+        "fresh.csv", "fresh.json", "in.csv", "out.csv"]
+
+
+def test_batch_out_to_piped_stdout(tmp_path):
+    # /dev/stdout on a pipe is written in place, not replaced.
+    src = _write_csv(tmp_path / "in.csv", "id,s1,s2\na,1,1\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slope_atlas.cli", "batch", src,
+         "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(
+        "id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable\n"
+        "a,1,1,")
+    assert "rows: 1\n" in proc.stdout
+    assert sorted(os.listdir(tmp_path)) == ["in.csv"]
+
+
+def test_batch_csv_error_exits_2(tmp_path, capsys):
+    # A field over the csv module's size limit is bad input, not a crash.
+    src = _write_csv(tmp_path / "in.csv",
+                     "id,s1,s2\na,1,1\nb,1," + "9" * 200_000 + "\n")
+    out = tmp_path / "out.csv"
+    assert run_cli("batch", src, "--out", str(out)) == 2
+    assert "field larger than field limit" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["in.csv"]
 
 
 def test_batch_memory_flat_in_row_count(tmp_path):
