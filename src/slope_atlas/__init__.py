@@ -11,15 +11,10 @@ from .slopes import (
     CircularArc,
     ExtRational,
     Region,
-    arc_contains,
     arc_intersect,
-    empty_region,
     format_multislope,
-    format_slope,
-    normalize,
     parse_multislope,
     parse_slope,
-    region_contains,
     region_intersect,
     region_union,
 )
@@ -44,7 +39,6 @@ from .monodromy import (
     OrientationAssignment,
     coherent_orientations,
     foliation_region,
-    format_monodromy,
     intervals,
     is_coherent,
     labels,

@@ -23,8 +23,12 @@ Both have no sink discs and carry exactly the fundamental-class ray.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .monodromy import coherent_orientations, is_coherent
 
@@ -266,94 +270,66 @@ def check_weights(c, weights):
                for a in c.arcs)
 
 
-def _propagate(c, values, bound):
-    """Unit propagation over the switch equations.
-
-    Returns False on contradiction.  ``values`` maps sector id to a weight
-    or None.
-    """
-    changed = True
-    while changed:
-        changed = False
-        for a in c.arcs:
-            big, sa, sb = values[a.big], values[a.small_a], values[a.small_b]
-            if a.small_a == a.small_b:
-                # big = 2 * small
-                if sa is not None:
-                    want = 2 * sa
-                    if big is None:
-                        if want > bound:
-                            return False
-                        values[a.big] = want
-                        changed = True
-                    elif big != want:
-                        return False
-                elif big is not None:
-                    if big % 2 != 0:
-                        return False
-                    values[a.small_a] = big // 2
-                    changed = True
-                continue
-            known = (big is not None) + (sa is not None) + (sb is not None)
-            if known < 2:
-                continue
-            if big is None:
-                want = sa + sb
-                if want > bound:
-                    return False
-                values[a.big] = want
-                changed = True
-            elif sa is None:
-                want = big - sb
-                if want < 0:
-                    return False
-                values[a.small_a] = want
-                changed = True
-            elif sb is None:
-                want = big - sa
-                if want < 0:
-                    return False
-                values[a.small_b] = want
-                changed = True
-            elif big != sa + sb:
-                return False
-    return True
-
-
 def carried_weight_cone(c, bound):
-    """All nonnegative integer weight systems with every weight <= bound.
+    """All nonnegative integer weight systems with every weight <= bound,
+    sorted by their weight tuple in sector order.
 
-    Backtracking search with unit propagation over the switch equations;
-    results are sorted by their weight tuple in sector order.
+    The switch equations are row-reduced over the rationals, which writes
+    the weight of each pivot sector as a combination of the free sectors'
+    weights.  Each free assignment in 0..bound is tried once; with the
+    denominators cleared, a pivot weight is kept only when it is integral
+    and lies in 0..bound.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     order = c.sector_ids()
-    degree = {sid: 0 for sid in order}
+    col = {sid: j for j, sid in enumerate(order)}
+    reduced = {}   # pivot column -> row {column: coefficient}, pivot 1
     for a in c.arcs:
-        for sid in (a.big, a.small_a, a.small_b):
-            degree[sid] += 1
-    solutions = []
+        row = {}
+        for sid, sign in ((a.big, 1), (a.small_a, -1), (a.small_b, -1)):
+            row[col[sid]] = row.get(col[sid], 0) + sign
+        for j, prow in reduced.items():
+            if row.get(j):
+                _add_multiple(row, prow, -row[j])
+        row = {j: v for j, v in row.items() if v}
+        if not row:
+            continue
+        pivot = max(row)
+        lead = row[pivot]
+        # Rows led by +-1 stay integral; others need exact division.
+        row = {j: v * lead if abs(lead) == 1 else Fraction(v) / lead
+               for j, v in row.items()}
+        for prow in reduced.values():
+            if prow.get(pivot):
+                _add_multiple(prow, row, -prow[pivot])
+        reduced[pivot] = row
+    free = [j for j in range(len(order)) if j not in reduced]
+    # d * w[pivot] = sum(coeffs[i] * w[free[i]]) in integers.
+    solved = []
+    for pivot, row in reduced.items():
+        d = math.lcm(*(v.denominator for v in row.values()))
+        solved.append((pivot, d, [int(-row.get(f, 0) * d) for f in free]))
+    out = []
+    for point in itertools.product(range(bound + 1), repeat=len(free)):
+        w = [0] * len(order)
+        for f, v in zip(free, point):
+            w[f] = v
+        for pivot, d, coeffs in solved:
+            q, r = divmod(sum(map(operator.mul, coeffs, point)), d)
+            if r or not 0 <= q <= bound:
+                break
+            w[pivot] = q
+        else:
+            out.append(tuple(w))
+    out.sort()
+    return tuple(WeightSystem(tuple(zip(order, w))) for w in out)
 
-    def search(values):
-        state = dict(values)
-        if not _propagate(c, state, bound):
-            return
-        unknown = [sid for sid in order if state[sid] is None]
-        if not unknown:
-            sol = {sid: state[sid] for sid in order}
-            if check_weights(c, sol):
-                solutions.append(tuple((sid, sol[sid]) for sid in order))
-            return
-        pivot = max(unknown, key=lambda sid: degree[sid])
-        for value in range(bound + 1):
-            state[pivot] = value
-            search(state)
-        state[pivot] = None
 
-    search({sid: None for sid in order})
-    unique = sorted(set(solutions), key=lambda ws: tuple(w for _, w in ws))
-    return tuple(WeightSystem(ws) for ws in unique)
+def _add_multiple(row, prow, factor):
+    """row += factor * prow, in place."""
+    for j, v in prow.items():
+        row[j] = row.get(j, 0) + factor * v
 
 
 def fundamental_ray(c, bound):

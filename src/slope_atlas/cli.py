@@ -25,7 +25,8 @@ from .monodromy import (
     labels,
     parse_monodromy,
 )
-from .slopes import SLOPE_RE, ExtRational, parse_slope
+from .slopes import (INT_RE, SLOPE_RE, ExtRational, parse_int, parse_slope,
+                     shown_token)
 from .whitehead import (
     InconsistentVerdictError,
     classify,
@@ -34,7 +35,7 @@ from .whitehead import (
 )
 
 
-_BOUNDS_RE = re.compile(r"(-?[0-9]+):(-?[0-9]+),(-?[0-9]+):(-?[0-9]+)")
+_BOUNDS_RE = re.compile("({0}):({0}),({0}):({0})".format(INT_RE.pattern))
 
 # Largest plot grid, in (numerator, denominator) points; the pair count
 # grows with the square of it.
@@ -158,16 +159,18 @@ def cmd_monodromy(args):
 
 
 def cmd_region(args):
-    if args.b1 < 0 or args.b2 < 0:
+    b1 = parse_int(args.b1, "--b1 value")
+    b2 = parse_int(args.b2, "--b2 value")
+    if b1 < 0 or b2 < 0:
         raise ValueError("framings must be nonnegative integers")
-    lspace = two_component_region(args.b1, args.b2)
+    lspace = two_component_region(b1, b2)
     foliation = wl_foliation_region()
     if args.json:
         doc = {"lspace_region": _region_json(lspace),
                "foliation_region": _region_json(foliation)}
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return 0
-    lines = [f"L-space region (b1={args.b1}, b2={args.b2}):"]
+    lines = [f"L-space region (b1={b1}, b2={b2}):"]
     lines.extend(_region_lines(lspace))
     lines.append("taut-foliation region:")
     lines.extend(_region_lines(foliation))
@@ -182,7 +185,7 @@ def parse_batch_header(row):
         return False
     if row == ["id", "s1", "s2", "label"]:
         return True
-    raise ValueError(f"bad header {','.join(row)!r}: expected "
+    raise ValueError(f"bad header {shown_token(','.join(row))!r}: expected "
                      "'id,s1,s2' or 'id,s1,s2,label'")
 
 
@@ -250,15 +253,16 @@ def cmd_batch(args):
 
 
 def parse_bounds(text):
+    shown = shown_token(text)
     m = _BOUNDS_RE.fullmatch(text.strip())
     if not m:
-        raise ValueError(f"invalid bounds {text!r}: expected "
+        raise ValueError(f"invalid bounds {shown!r}: expected "
                          "'pmin:pmax,qmin:qmax'")
-    pmin, pmax, qmin, qmax = (int(g) for g in m.groups())
+    pmin, pmax, qmin, qmax = (parse_int(g, "bound") for g in m.groups())
     if pmin > pmax or qmin > qmax:
-        raise ValueError(f"degenerate bounds {text!r}")
+        raise ValueError(f"degenerate bounds {shown!r}")
     if (pmax - pmin + 1) * (qmax - qmin + 1) > MAX_GRID_POINTS:
-        raise ValueError(f"bounds {text!r} span more than "
+        raise ValueError(f"bounds {shown!r} span more than "
                          f"{MAX_GRID_POINTS} grid points")
     return pmin, pmax, qmin, qmax
 
@@ -308,9 +312,12 @@ def _svg_scatter(points):
 
 def cmd_plot(args):
     bounds = parse_bounds(args.bounds)
-    if args.max_den is not None and args.max_den < 1:
-        raise ValueError("--max-den must be a positive integer")
-    slopes = grid_slopes(bounds, args.max_den)
+    max_den = args.max_den
+    if max_den is not None:
+        max_den = parse_int(max_den, "--max-den value")
+        if max_den < 1:
+            raise ValueError("--max-den must be a positive integer")
+    slopes = grid_slopes(bounds, max_den)
     if not slopes:
         raise ValueError("bounds produce no slopes")
     records = []
@@ -352,8 +359,8 @@ def build_parser():
 
     p = sub.add_parser("region", help="print the L-space and "
                                       "taut-foliation regions")
-    p.add_argument("--b1", type=int, default=0, help="first framing")
-    p.add_argument("--b2", type=int, default=0, help="second framing")
+    p.add_argument("--b1", default="0", help="first framing")
+    p.add_argument("--b2", default="0", help="second framing")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write here instead of stdout")
     p.set_defaults(func=cmd_region)
@@ -368,7 +375,7 @@ def build_parser():
     p.add_argument("--bounds", required=True,
                    help="integer grid 'pmin:pmax,qmin:qmax'")
     p.add_argument("--format", choices=("tsv", "svg"), default="tsv")
-    p.add_argument("--max-den", type=int, default=None,
+    p.add_argument("--max-den",
                    help="keep only slopes with denominator at most this")
     p.add_argument("--out", help="write here instead of stdout")
     p.set_defaults(func=cmd_plot)

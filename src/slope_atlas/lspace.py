@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .slopes import INF, CircularArc, ExtRational, Region
+from .slopes import INF, ONE, ZERO, CircularArc, ExtRational, Region
 
 
 @dataclass(frozen=True)
@@ -226,16 +226,14 @@ def propagate_region(components):
     [floor(r), inf] when r >= 1 and (0, inf] when 0 < r < 1.
     """
     arcs = []
-    one = ExtRational(1)
-    zero = ExtRational(0)
     for r in components:
-        if r.is_infinite() or not r > zero:
+        if r.is_infinite() or not r > ZERO:
             raise ValueError(f"component slope must be finite and positive, "
                              f"got {r}")
-        if r >= one:
+        if r >= ONE:
             arcs.append(CircularArc(ExtRational(r.floor()), INF, True, True))
         else:
-            arcs.append(CircularArc(zero, INF, False, True))
+            arcs.append(CircularArc(ZERO, INF, False, True))
     return Region(len(arcs), (tuple(arcs),))
 
 

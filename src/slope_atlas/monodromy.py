@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .slopes import INF, MINUS_ONE, ONE, ZERO, CircularArc, Region
+from .slopes import (ABOVE_MINUS_ONE_ARC, BELOW_ONE_ARC, NEGATIVE_ARC,
+                     POSITIVE_ARC, Region, parse_int, shown_token)
 
 
 class BoundaryLabel(enum.Enum):
@@ -42,7 +43,7 @@ class Monodromy:
             raise ValueError("exponents must be integers")
         if any(a == 0 for a in twists):
             raise ValueError("boundary twist exponents must be nonzero, "
-                             f"got {twists}")
+                             f"got {shown_token(str(twists))}")
 
     @property
     def k(self):
@@ -56,18 +57,12 @@ def parse_monodromy(text):
     """Parse 'a0; a1, a2, ..., ak'."""
     parts = text.split(";")
     if len(parts) != 2:
-        raise ValueError(f"invalid monodromy {text!r}: expected 'a0; a1, ..., ak'")
-    try:
-        a0 = int(parts[0].strip())
-        twists = tuple(int(tok.strip()) for tok in parts[1].split(","))
-    except ValueError:
-        raise ValueError(f"invalid monodromy {text!r}: exponents must be "
-                         "integers") from None
+        raise ValueError(f"invalid monodromy {shown_token(text)!r}: "
+                         "expected 'a0; a1, ..., ak'")
+    a0 = parse_int(parts[0], "monodromy exponent")
+    twists = tuple(parse_int(tok, "monodromy exponent")
+                   for tok in parts[1].split(","))
     return Monodromy(a0, twists)
-
-
-def format_monodromy(m):
-    return str(m)
 
 
 def labels(m):
@@ -90,12 +85,6 @@ def labels(m):
     return tuple(out)
 
 
-_PPLUS_ARC = CircularArc(INF, ONE)
-_PMINUS_ARC = CircularArc(MINUS_ONE, INF)
-_NEG_ARC = CircularArc(INF, ZERO)
-_POS_ARC = CircularArc(ZERO, INF)
-
-
 def intervals(m):
     """The two multislope interval tuples (I, J) realized at the boundary.
 
@@ -108,19 +97,19 @@ def intervals(m):
     n_seen = 0
     for lab in labs:
         if lab is BoundaryLabel.PPLUS:
-            i_arcs.append(_PPLUS_ARC)
-            j_arcs.append(_PPLUS_ARC)
+            i_arcs.append(BELOW_ONE_ARC)
+            j_arcs.append(BELOW_ONE_ARC)
         elif lab is BoundaryLabel.PMINUS:
-            i_arcs.append(_PMINUS_ARC)
-            j_arcs.append(_PMINUS_ARC)
+            i_arcs.append(ABOVE_MINUS_ONE_ARC)
+            j_arcs.append(ABOVE_MINUS_ONE_ARC)
         else:
             n_seen += 1
             if n_seen % 2 == 1:
-                i_arcs.append(_NEG_ARC)
-                j_arcs.append(_POS_ARC)
+                i_arcs.append(NEGATIVE_ARC)
+                j_arcs.append(POSITIVE_ARC)
             else:
-                i_arcs.append(_POS_ARC)
-                j_arcs.append(_NEG_ARC)
+                i_arcs.append(POSITIVE_ARC)
+                j_arcs.append(NEGATIVE_ARC)
     return tuple(i_arcs), tuple(j_arcs)
 
 
@@ -134,9 +123,9 @@ def foliation_region(m):
     k = m.k
     boxes = []
     if m.a0 > 0:
-        boxes.append(tuple([_PPLUS_ARC] * k))
+        boxes.append(tuple([BELOW_ONE_ARC] * k))
     elif m.a0 < 0:
-        boxes.append(tuple([_PMINUS_ARC] * k))
+        boxes.append(tuple([ABOVE_MINUS_ONE_ARC] * k))
     i_arcs, j_arcs = intervals(m)
     for box in (i_arcs, j_arcs):
         if box not in boxes:

@@ -119,17 +119,30 @@ ONE = ExtRational(1)
 MINUS_ONE = ExtRational(-1)
 
 
-def normalize(num, den):
-    """Canonical slope for an integer pair; rejects (0, 0)."""
-    return ExtRational(num, den)
-
-
-# The one slope grammar: "inf", or an ASCII integer with an optional ASCII
-# integer denominator.  int() alone would also take "+3", "1_0" and
-# non-ASCII digits such as "\u0663".
-SLOPE_RE = re.compile(r"inf|(-?[0-9]+)(?:/(-?[0-9]+))?")
+# The one input grammar: an ASCII integer, and a slope is "inf" or an
+# integer with an optional integer denominator.  int() alone would also take
+# "+3", "1_0" and non-ASCII digits such as "\u0663".
+INT_RE = re.compile(r"-?[0-9]+")
+SLOPE_RE = re.compile(rf"inf|({INT_RE.pattern})(?:/({INT_RE.pattern}))?")
 _match_slope = SLOPE_RE.fullmatch
 MAX_SLOPE_TOKEN = 100
+
+
+def shown_token(text):
+    """A token for an error message: as given, or when long the start of
+    its stripped text, cut to MAX_SLOPE_TOKEN characters."""
+    tok = text.strip()
+    return text if len(text) <= MAX_SLOPE_TOKEN else (
+        tok[:MAX_SLOPE_TOKEN] + "..." * (len(tok) > MAX_SLOPE_TOKEN))
+
+
+def parse_int(text, what):
+    """Parse an integer token of the input grammar; raises ValueError
+    naming ``what`` and the token otherwise."""
+    tok = text.strip()
+    if len(tok) <= MAX_SLOPE_TOKEN and INT_RE.fullmatch(tok):
+        return int(tok)
+    raise ValueError(f"invalid {what} {shown_token(text)!r}")
 
 
 def parse_slope(text):
@@ -147,15 +160,8 @@ def parse_slope(text):
         num, den = int(num), int(den or 1)
         if num or den:
             return ExtRational(num, den)
-    # Echo the token as given; a long one by the start of its stripped text.
-    shown = text if len(text) <= MAX_SLOPE_TOKEN else (
-        tok[:MAX_SLOPE_TOKEN] + "..." * (len(tok) > MAX_SLOPE_TOKEN))
-    raise ValueError(f"invalid slope token {shown!r}"
+    raise ValueError(f"invalid slope token {shown_token(text)!r}"
                      + (" (0/0 is not a slope)" if m else ""))
-
-
-def format_slope(x):
-    return str(x)
 
 
 def parse_multislope(text, dim=None):
@@ -245,17 +251,12 @@ class CircularArc:
         return f"{lb}{self.start},{self.end}{rb}"
 
 
-def arc(start, end, start_closed=False, end_closed=False):
-    return CircularArc(start, end, start_closed, end_closed)
-
-
-def arc_contains(a, x):
-    return a.contains(x)
-
-
 POINT_INF = CircularArc(INF, INF, True, True)
 POSITIVE_ARC = CircularArc(ZERO, INF)     # finite slopes > 0
 NEGATIVE_ARC = CircularArc(INF, ZERO)     # finite slopes < 0
+BELOW_ONE_ARC = CircularArc(INF, ONE)     # finite slopes < 1
+ABOVE_MINUS_ONE_ARC = CircularArc(MINUS_ONE, INF)   # finite slopes > -1
+UNIT_ARC = CircularArc(MINUS_ONE, ONE)    # slopes strictly between -1 and 1
 
 
 def _linear_parts(a):
@@ -417,14 +418,6 @@ class Region:
 
     def __str__(self):
         return "  u  ".join(self.pieces()) or "(empty)"
-
-
-def empty_region(dim):
-    return Region(dim)
-
-
-def region_contains(region, multislope):
-    return region.contains(multislope)
 
 
 def region_union(a, b):

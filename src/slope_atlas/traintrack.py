@@ -14,7 +14,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import INF, MINUS_ONE, ONE, ZERO, CircularArc, ExtRational
+from .slopes import (ABOVE_MINUS_ONE_ARC, BELOW_ONE_ARC, NEGATIVE_ARC,
+                     POSITIVE_ARC, UNIT_ARC, ExtRational)
 
 
 class TrackTemplate(enum.Enum):
@@ -32,14 +33,14 @@ class TrackTemplate(enum.Enum):
 
 
 _REALIZED = {
-    TrackTemplate.A0_POSITIVE: CircularArc(INF, ONE),
-    TrackTemplate.PPLUS: CircularArc(INF, ONE),
-    TrackTemplate.A0_NEGATIVE: CircularArc(MINUS_ONE, INF),
-    TrackTemplate.PMINUS: CircularArc(MINUS_ONE, INF),
-    TrackTemplate.N_OUT: CircularArc(ZERO, INF),
-    TrackTemplate.N_IN: CircularArc(INF, ZERO),
-    TrackTemplate.WL_SPECIAL_FIRST: CircularArc(ZERO, INF),
-    TrackTemplate.WL_SPECIAL_SECOND: CircularArc(MINUS_ONE, ONE),
+    TrackTemplate.A0_POSITIVE: BELOW_ONE_ARC,
+    TrackTemplate.PPLUS: BELOW_ONE_ARC,
+    TrackTemplate.A0_NEGATIVE: ABOVE_MINUS_ONE_ARC,
+    TrackTemplate.PMINUS: ABOVE_MINUS_ONE_ARC,
+    TrackTemplate.N_OUT: POSITIVE_ARC,
+    TrackTemplate.N_IN: NEGATIVE_ARC,
+    TrackTemplate.WL_SPECIAL_FIRST: POSITIVE_ARC,
+    TrackTemplate.WL_SPECIAL_SECOND: UNIT_ARC,
 }
 
 _PARAMETRIC = (TrackTemplate.A0_POSITIVE, TrackTemplate.A0_NEGATIVE)

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 from .lspace import two_component_region
 from .monodromy import Monodromy, foliation_region
-from .slopes import (
-    INF,
-    MINUS_ONE,
-    ONE,
-    ZERO,
-    CircularArc,
-    Region,
-    region_union,
-)
+from .slopes import ONE, POSITIVE_ARC, UNIT_ARC, Region, region_union
 
 # Monodromy of the fibered complement: one positive twist along the closed
 # curve, opposite twists along the two arc-parallel curves.
@@ -116,10 +108,7 @@ def wl_euler_vanishes(s1, s2):
     return True
 
 
-_WL_EXTRA_BOXES = (
-    (CircularArc(ZERO, INF), CircularArc(MINUS_ONE, ONE)),
-    (CircularArc(MINUS_ONE, ONE), CircularArc(ZERO, INF)),
-)
+_WL_EXTRA_BOXES = ((POSITIVE_ARC, UNIT_ARC), (UNIT_ARC, POSITIVE_ARC))
 
 
 def wl_foliation_region():
@@ -181,8 +170,7 @@ def classify(s1, s2):
             euler_vanishing=Ternary.NOT_APPLICABLE,
             left_orderable=Orderable.NO,
             citations=("lens-space-filling", "nonorderable-lens-or-s3"))
-    one = ONE
-    is_lspace = s1 >= one and s2 >= one
+    is_lspace = s1 >= ONE and s2 >= ONE
     citations = []
     if is_lspace:
         lspace, foliation = Ternary.YES, Ternary.NO

@@ -70,6 +70,14 @@ def flip_arc(c, arc_id, promote):
     return BranchComplex(c.sectors, tuple(new_arcs))
 
 
+def _plain_complex(ids, *switches):
+    """Disc sectors named by the characters of ``ids``; one arc per
+    (big, small_a, small_b) switch."""
+    return BranchComplex(
+        tuple(Sector(sid, SectorKind.DISC, False) for sid in ids),
+        tuple(BranchArc(f"C{i}", *sw) for i, sw in enumerate(switches)))
+
+
 def _arc_map(c):
     return {a.id: a for a in c.arcs}
 
@@ -285,6 +293,21 @@ def test_weight_cone_matches_oracle_small():
             got = carried_weight_cone(c, bound)
             assert got == weight_cone_oracle(c, bound)
             assert got == fundamental_ray(c, bound)
+    # Complexes whose row-reduced pivots can come out non-integral or
+    # negative, which the generated complexes never produce.
+    coherent = build_coherent_arc_complex(m, coherent_orientations(m)[0])
+    degenerate = [
+        flip_arc(coherent, "C1", "S1"),
+        _plain_complex("AB", ("A", "B", "B")),              # B = A/2
+        _plain_complex("ABC", ("A", "B", "B"), ("B", "C", "C")),
+        _plain_complex("ABC", ("A", "B", "B"), ("C", "A", "B")),
+        _plain_complex("ABC", ("A", "A", "B"), ("C", "B", "A")),
+        _plain_complex("ABCZ", ("C", "A", "B")),            # Z is unnamed
+        _plain_complex("ABCDEF", ("A", "B", "C"), ("D", "E", "F")),
+    ]
+    for c in degenerate:
+        for bound in (0, 1, 2, 3):
+            assert carried_weight_cone(c, bound) == weight_cone_oracle(c, bound)
 
 
 def test_weight_cone_frozen_example():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from slope_atlas import cli
-from slope_atlas.slopes import parse_slope
+from slope_atlas.slopes import MAX_SLOPE_TOKEN, parse_slope
 from slope_atlas.whitehead import InconsistentVerdictError, classify, plot_class
 
 
@@ -118,6 +118,14 @@ def test_monodromy_rejects_zero_exponent(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_monodromy_rejects_non_ascii_and_long_exponents(capsys):
+    assert run_cli("monodromy", "1; \u0663, -2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "exponent ' \u0663'" in captured.err
+    assert run_cli("monodromy", "1; " + "7" * 5000) == 2
+    assert len(capsys.readouterr().err) < 2 * MAX_SLOPE_TOKEN
+
+
 # ---------------------------------------------------------------------------
 # region
 # ---------------------------------------------------------------------------
@@ -144,6 +152,23 @@ def test_region_json_with_framings(capsys):
 def test_region_rejects_negative_framing(capsys):
     assert run_cli("region", "--b1", "-1") == 2
     assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--b1", "1_0"), ("--b2", "\u0661"), ("--b1", "+1"), ("--b2", "x"),
+    pytest.param("--b1", "9" * 5000, id="--b1-5000-digits")])
+def test_region_rejects_bad_framing_token(capsys, option, value):
+    assert run_cli("region", option, value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option in captured.err
+    assert value[:MAX_SLOPE_TOKEN] in captured.err
+    assert len(captured.err) < 2 * MAX_SLOPE_TOKEN
+
+
+def test_region_framing_keeps_integer_spelling(capsys):
+    assert run_cli("region", "--b1", "007") == 0
+    assert "L-space region (b1=7, b2=0):" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +252,9 @@ def test_batch_bad_header_and_empty_file(tmp_path, capsys):
     empty = _write_csv(tmp_path / "empty.csv", "")
     assert run_cli("batch", empty, "--out", str(tmp_path / "o.csv")) == 2
     assert "empty" in capsys.readouterr().err
+    wide = _write_csv(tmp_path / "wide.csv", ",".join(["id"] * 20000) + "\n")
+    assert run_cli("batch", wide, "--out", str(tmp_path / "o.csv")) == 2
+    assert len(capsys.readouterr().err) < 3 * MAX_SLOPE_TOKEN
 
 
 def test_batch_out_is_atomic(tmp_path, capsys, monkeypatch):
@@ -441,6 +469,14 @@ def test_plot_rejects_bad_bounds(capsys):
     assert run_cli("plot", "--bounds", "1:2,1:2", "--max-den", "0") == 2
     assert run_cli("plot", "--bounds", "1:\u0663,1:2") == 2
     capsys.readouterr()
+    for max_den in ("\u0661", "1_0", "+1", "9" * 5000):
+        assert run_cli("plot", "--bounds", "1:2,1:2", "--max-den",
+                       max_den) == 2
+        err = capsys.readouterr().err
+        assert "--max-den" in err and max_den[:MAX_SLOPE_TOKEN] in err
+        assert len(err) < 2 * MAX_SLOPE_TOKEN
+    assert run_cli("plot", "--bounds", "1:" + "9" * 5000 + ",1:2") == 2
+    assert len(capsys.readouterr().err) < 2 * MAX_SLOPE_TOKEN
     # Every point of a 0:0 grid is the slope 0, so only the cap can fail.
     top = cli.MAX_GRID_POINTS
     assert run_cli("plot", f"--bounds=0:0,1:{top}") == 0

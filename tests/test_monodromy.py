@@ -14,13 +14,13 @@ from slope_atlas.monodromy import (
     OrientationAssignment,
     coherent_orientations,
     foliation_region,
-    format_monodromy,
     intervals,
     is_coherent,
     labels,
     parse_monodromy,
 )
-from slope_atlas.slopes import INF, MINUS_ONE, ONE, ZERO, CircularArc, ExtRational
+from slope_atlas.slopes import (INF, MAX_SLOPE_TOKEN, MINUS_ONE, ONE, ZERO,
+                                CircularArc, ExtRational)
 
 PPLUS, PMINUS, N = BoundaryLabel.PPLUS, BoundaryLabel.PMINUS, BoundaryLabel.N
 
@@ -43,14 +43,20 @@ def _random_monodromy(rng, max_k=6):
 def test_parse_format_round_trip():
     m = parse_monodromy("1; 5, 10, -5")
     assert m == Monodromy(1, (5, 10, -5))
-    assert parse_monodromy(format_monodromy(m)) == m
+    assert parse_monodromy(str(m)) == m
     assert parse_monodromy("-2;3") == Monodromy(-2, (3,))
 
 
-@pytest.mark.parametrize("bad", ["", "1", "1;", "1; 0, 2", "a; 1", "1; 2, b"])
+@pytest.mark.parametrize("bad", [
+    "", "1", "1;", "1; 0, 2", "a; 1", "1; 2, b",
+    "1; \u0663, -2", "\u0661; 1", "1_0; 1", "1; 2_0", "+1; 1", "1; 2.0",
+    pytest.param("1; " + "7" * 5000, id="5000-digit-exponent"),
+    pytest.param("1; 2; 3" * 1000, id="long-word-two-semicolons"),
+    pytest.param("1; " + "0, " * 3000 + "0", id="3001-zero-exponents")])
 def test_parse_rejects_bad_text(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         parse_monodromy(bad)
+    assert len(str(err.value)) < 2 * MAX_SLOPE_TOKEN
 
 
 def test_zero_twist_rejected():
