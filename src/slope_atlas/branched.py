@@ -223,19 +223,11 @@ def detect_sink_discs(c):
     disc is a boundary sector with the same property.  Sectors with no
     incident arcs are not sinks; see ``isolated_sectors``.
     """
-    small_side = set()
-    incident = set()
+    skip = set(isolated_sectors(c))
     for a in c.arcs:
-        small_side.add(a.small_a)
-        small_side.add(a.small_b)
-        incident.update((a.big, a.small_a, a.small_b))
-    out = []
-    for s in c.sectors:
-        if s.id not in incident or s.id in small_side:
-            continue
-        if s.meets_boundary or s.kind is SectorKind.DISC:
-            out.append(s.id)
-    return tuple(out)
+        skip.update((a.small_a, a.small_b))
+    return tuple(s.id for s in c.sectors if s.id not in skip
+                 and (s.meets_boundary or s.kind is SectorKind.DISC))
 
 
 def isolated_sectors(c):

@@ -291,19 +291,21 @@ def svg_coord(value, lo, hi, flip=False):
         frac = 1 - frac
     return f"{float(40 + frac * 560):.2f}"
 
-def _svg_scatter(points):
-    values = [v for s1, s2, _ in points for v in (s1, s2)]
+
+def _svg_scatter(values, rows):
+    """SVG scatter with ``rows[i][j]`` drawn at (values[i], values[j])."""
     lo, hi = min(values), max(values)
+    xs = [svg_coord(v, lo, hi) for v in values]
+    ys = [svg_coord(v, lo, hi, flip=True) for v in values]
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" '
              'height="640" viewBox="0 0 640 640">',
              '<rect width="640" height="640" fill="white"/>',
              '<rect x="40" y="40" width="560" height="560" fill="none" '
              'stroke="black"/>']
-    for s1, s2, cls in points:
-        cx = svg_coord(s1, lo, hi)
-        cy = svg_coord(s2, lo, hi, flip=True)
-        parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" '
-                     f'fill="{_PLOT_COLORS[cls]}"/>')
+    for cx, row in zip(xs, rows):
+        for cy, cls in zip(ys, row):
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" '
+                         f'fill="{_PLOT_COLORS[cls]}"/>')
     parts.append('<text x="40" y="24" font-size="12">'
                  'red: lspace  blue: foliation  gray: non-qhs</text>')
     parts.append("</svg>")
@@ -320,21 +322,22 @@ def cmd_plot(args):
     slopes = grid_slopes(bounds, max_den)
     if not slopes:
         raise ValueError("bounds produce no slopes")
-    records = []
-    for s1 in slopes:
-        for s2 in slopes:
-            records.append((s1, s2, plot_class(classify(s1, s2))))
+    # Only the classes are computed per pair; the rest is per slope.
+    classes = [[plot_class(classify(s1, s2)) for s2 in slopes]
+               for s1 in slopes]
     if args.format == "tsv":
+        names = [str(s) for s in slopes]
         lines = ["s1\ts2\tclass"]
-        lines.extend(f"{s1}\t{s2}\t{cls}" for s1, s2, cls in records)
+        lines.extend(f"{a}\t{b}\t{cls}" for a, row in zip(names, classes)
+                     for b, cls in zip(names, row))
         _emit("\n".join(lines) + "\n", args.out)
         return 0
-    finite = [(Fraction(s1.num, s1.den), Fraction(s2.num, s2.den), cls)
-              for s1, s2, cls in records
-              if s1.is_finite() and s2.is_finite()]
+    # Infinity sorts last, so the finite slopes are a prefix of the grid.
+    finite = [Fraction(s.num, s.den) for s in slopes if s.is_finite()]
     if not finite:
         raise ValueError("no finite slope pairs to plot")
-    _emit(_svg_scatter(finite), args.out)
+    m = len(finite)
+    _emit(_svg_scatter(finite, [row[:m] for row in classes[:m]]), args.out)
     return 0
 
 

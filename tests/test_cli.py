@@ -463,6 +463,60 @@ def test_plot_svg_places_foliation_point_in_blue(tmp_path):
     assert f'<circle cx="{cx}" cy="{cy}" r="3" fill="blue"/>' in text
 
 
+def _plot_pairwise(bounds, max_den, fmt):
+    """Reference `plot` output, classified and rendered pair by pair."""
+    slopes = cli.grid_slopes(cli.parse_bounds(bounds), max_den)
+    records = [(s1, s2, plot_class(classify(s1, s2)))
+               for s1 in slopes for s2 in slopes]
+    if fmt == "tsv":
+        return "".join(["s1\ts2\tclass\n"] + [f"{s1}\t{s2}\t{cls}\n"
+                                               for s1, s2, cls in records])
+    finite = [(Fraction(s1.num, s1.den), Fraction(s2.num, s2.den), cls)
+              for s1, s2, cls in records
+              if s1.is_finite() and s2.is_finite()]
+    values = [v for s1, s2, _ in finite for v in (s1, s2)]
+    lo, hi = min(values), max(values)
+    colors = {"lspace": "red", "foliation": "blue", "non-qhs": "gray"}
+    lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+             'height="640" viewBox="0 0 640 640">',
+             '<rect width="640" height="640" fill="white"/>',
+             '<rect x="40" y="40" width="560" height="560" fill="none" '
+             'stroke="black"/>']
+    lines += [f'<circle cx="{cli.svg_coord(s1, lo, hi)}" '
+              f'cy="{cli.svg_coord(s2, lo, hi, flip=True)}" r="3" '
+              f'fill="{colors[cls]}"/>' for s1, s2, cls in finite]
+    lines += ['<text x="40" y="24" font-size="12">'
+              'red: lspace  blue: foliation  gray: non-qhs</text>', "</svg>"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bounds, max_den", [
+    ("1:2,1:2", None),
+    ("0:1,0:1", None),      # holds inf, which the SVG drops
+    ("-3:3,-2:2", 1),
+    ("5:5,1:1", None),      # one finite slope: the hi == lo branch
+])
+def test_plot_output_matches_pairwise_rendering(capsys, bounds, max_den):
+    den_args = [] if max_den is None else ["--max-den", str(max_den)]
+    slopes = cli.grid_slopes(cli.parse_bounds(bounds), max_den)
+    n_finite = sum(s.is_finite() for s in slopes)
+    for fmt in ("tsv", "svg"):
+        assert run_cli("plot", f"--bounds={bounds}", "--format", fmt,
+                       *den_args) == 0
+        out = capsys.readouterr().out
+        assert out == _plot_pairwise(bounds, max_den, fmt)
+        if fmt == "svg":
+            assert out.count("<circle ") == n_finite ** 2
+            assert "inf" not in out
+
+
+def test_plot_svg_without_finite_slopes_exits_2(capsys):
+    assert run_cli("plot", "--bounds", "1:1,0:0", "--format", "svg") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no finite slope pairs to plot\n"
+
+
 def test_plot_rejects_bad_bounds(capsys):
     assert run_cli("plot", "--bounds", "1:2") == 2
     assert run_cli("plot", "--bounds", "2:1,0:1") == 2
