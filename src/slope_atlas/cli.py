@@ -2,7 +2,8 @@
 
 Subcommands: classify, monodromy, region, batch, plot.  Exit codes: 0 on
 success, 2 on malformed input (the diagnostic names the offending token),
-3 when independent verdict rules contradict each other.
+3 when independent verdict rules contradict each other; the tests decide
+every pair of slope facts the rules can see, so 3 is unreachable.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .slopes import (INT_RE, SLOPE_RE, ExtRational, parse_int, parse_slope,
                      shown_token)
 from .whitehead import (
     InconsistentVerdictError,
+    _decide,
+    _facts,
     classify,
     plot_class,
     wl_foliation_region,
@@ -322,9 +325,10 @@ def cmd_plot(args):
     slopes = grid_slopes(bounds, max_den)
     if not slopes:
         raise ValueError("bounds produce no slopes")
-    # Only the classes are computed per pair; the rest is per slope.
-    classes = [[plot_class(classify(s1, s2)) for s2 in slopes]
-               for s1 in slopes]
+    # Only the classes are computed per pair, from per-slope facts.
+    facts = [_facts(s) for s in slopes]
+    classes = [[plot_class(_decide(f1, f2)) for f2 in facts]
+               for f1 in facts]
     if args.format == "tsv":
         names = [str(s) for s in slopes]
         lines = ["s1\ts2\tclass"]

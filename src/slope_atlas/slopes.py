@@ -31,6 +31,8 @@ class ExtRational:
         if not isinstance(num, int) or not isinstance(den, int):
             raise ValueError("slope components must be integers, got "
                              f"({num!r}, {den!r})")
+        if den > 0 and math.gcd(num, den) == 1:
+            return  # already in lowest terms
         if num == 0 and den == 0:
             raise ValueError("0/0 is not a slope")
         if den < 0:

@@ -10,12 +10,14 @@ decision rules that produced it.
 
 from __future__ import annotations
 
+import collections
 import enum
+import functools
 from dataclasses import dataclass
 
 from .lspace import two_component_region
 from .monodromy import Monodromy, foliation_region
-from .slopes import ONE, POSITIVE_ARC, UNIT_ARC, Region, region_union
+from .slopes import POSITIVE_ARC, UNIT_ARC, Region, region_union
 
 # Monodromy of the fibered complement: one positive twist along the closed
 # curve, opposite twists along the two arc-parallel curves.
@@ -98,14 +100,15 @@ def wl_euler_data(s1, s2):
     return tuple(out)
 
 
+def _euler_congruence(p, q):
+    """|q| = 1 mod p, the reduced Euler condition at one boundary."""
+    return (abs(q) - 1) % p == 0
+
+
 def wl_euler_vanishes(s1, s2):
     """Vanishing of the Euler class for a Whitehead-link filling, reduced
     form: |q| = 1 mod p at both boundaries (with p normalized positive)."""
-    for s in (s1, s2):
-        p, q = _pq(s)
-        if (abs(q) - 1) % p != 0:
-            return False
-    return True
+    return all(_euler_congruence(*_pq(s)) for s in (s1, s2))
 
 
 _WL_EXTRA_BOXES = ((POSITIVE_ARC, UNIT_ARC), (UNIT_ARC, POSITIVE_ARC))
@@ -149,71 +152,74 @@ class SurgeryVerdict:
         }
 
 
-def classify(s1, s2):
-    """Full verdict for the surgery multislope (s1, s2)."""
-    homology = (abs(s1.num), abs(s2.num))
-    if s1.num == 0 or s2.num == 0:
-        return SurgeryVerdict(
-            slope=(s1, s2), is_qhs=False, homology=homology,
-            lspace=Ternary.NOT_APPLICABLE,
-            taut_foliation=Ternary.NOT_APPLICABLE,
-            euler_vanishing=Ternary.NOT_APPLICABLE,
-            left_orderable=Orderable.NOT_APPLICABLE,
-            citations=("non-qhs-zero-numerator",))
-    if s1.is_infinite() or s2.is_infinite():
+# The verdict fields that depend only on the two slopes' facts.
+_Decision = collections.namedtuple("_Decision", [
+    "is_qhs", "lspace", "taut_foliation", "euler_vanishing",
+    "left_orderable", "citations"])
+
+
+def _facts(s):
+    """Everything the verdict rules read from one slope: "zero", "inf", or
+    (s >= 1, integer, negative integer, Euler congruence holds)."""
+    num, den = s.num, s.den
+    if num == 0:
+        return "zero"
+    if den == 0:
+        return "inf"
+    return (num >= den, den == 1, den == 1 and num < 0,
+            _euler_congruence(abs(num), den))
+
+
+@functools.cache
+def _decide(f1, f2):
+    """The verdict rules, on the facts of the two slopes."""
+    na = Ternary.NOT_APPLICABLE
+    if "zero" in (f1, f2):
+        return _Decision(False, na, na, na, Orderable.NOT_APPLICABLE,
+                         ("non-qhs-zero-numerator",))
+    if "inf" in (f1, f2):
         # Filling one component at infinity leaves an unknot exterior, so
         # the result is a lens space or the three-sphere.
-        return SurgeryVerdict(
-            slope=(s1, s2), is_qhs=True, homology=homology,
-            lspace=Ternary.YES,
-            taut_foliation=Ternary.NO,
-            euler_vanishing=Ternary.NOT_APPLICABLE,
-            left_orderable=Orderable.NO,
-            citations=("lens-space-filling", "nonorderable-lens-or-s3"))
-    is_lspace = s1 >= ONE and s2 >= ONE
-    citations = []
+        return _Decision(True, Ternary.YES, Ternary.NO, na, Orderable.NO,
+                         ("lens-space-filling", "nonorderable-lens-or-s3"))
+    (ge1, int1, negint1, euler1), (ge2, int2, negint2, euler2) = f1, f2
+    is_lspace = ge1 and ge2
     if is_lspace:
-        lspace, foliation = Ternary.YES, Ternary.NO
-        citations.append("lspace-threshold")
+        lspace, foliation, euler = Ternary.YES, Ternary.NO, na
+        citations = ["lspace-threshold"]
     else:
         lspace, foliation = Ternary.NO, Ternary.YES
-        citations.append("foliation-below-one")
-    euler = Ternary.NOT_APPLICABLE
-    if foliation is Ternary.YES:
-        if wl_euler_vanishes(s1, s2):
-            euler = Ternary.YES
-        else:
-            euler = Ternary.NO
-        citations.append("euler-congruence")
-    lo_yes = []
-    lo_no = []
+        euler = Ternary.YES if euler1 and euler2 else Ternary.NO
+        citations = ["foliation-below-one", "euler-congruence"]
+    lo_yes, lo_no = [], []
     if euler is Ternary.YES:
         lo_yes.append("orderable-from-euler-vanishing")
-    if any(s.is_integer() and s.num <= -1 for s in (s1, s2)):
+    if negint1 or negint2:
         lo_yes.append("orderable-negative-integer-fiber")
-    if is_lspace and any(s.is_integer() for s in (s1, s2)):
+    if is_lspace and (int1 or int2):
         lo_no.append("nonorderable-positive-integer-lspace")
     if lo_yes and lo_no:
+        raise InconsistentVerdictError(f"{lo_yes} versus {lo_no}")
+    orderable = (Orderable.YES if lo_yes else Orderable.NO if lo_no
+                 else Orderable.UNKNOWN)
+    return _Decision(True, lspace, foliation, euler, orderable,
+                     tuple(citations + lo_yes + lo_no))
+
+
+def classify(s1, s2):
+    """Full verdict for the surgery multislope (s1, s2)."""
+    try:
+        d = _decide(_facts(s1), _facts(s2))
+    except InconsistentVerdictError as exc:
         raise InconsistentVerdictError(
-            f"orderability rules disagree on {s1}, {s2}: "
-            f"{lo_yes} versus {lo_no}")
-    if lo_yes:
-        orderable = Orderable.YES
-        citations.extend(lo_yes)
-    elif lo_no:
-        orderable = Orderable.NO
-        citations.extend(lo_no)
-    else:
-        orderable = Orderable.UNKNOWN
-    return SurgeryVerdict(
-        slope=(s1, s2), is_qhs=True, homology=homology,
-        lspace=lspace, taut_foliation=foliation, euler_vanishing=euler,
-        left_orderable=orderable, citations=tuple(citations))
+            f"orderability rules disagree on {s1}, {s2}: {exc}") from None
+    return SurgeryVerdict((s1, s2), d.is_qhs, (abs(s1.num), abs(s2.num)),
+                          *d[1:])
 
 
 def plot_class(verdict):
     """Coarse class used by the scatter output: lspace, foliation or
-    non-qhs."""
+    non-qhs.  Takes a verdict or a `_decide` result."""
     if not verdict.is_qhs:
         return "non-qhs"
     if verdict.lspace is Ternary.YES:

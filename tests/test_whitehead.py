@@ -6,8 +6,11 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from slope_atlas.slopes import INF, ExtRational, parse_slope
+from slope_atlas import whitehead
+from slope_atlas.slopes import INF, ONE, ExtRational, parse_slope
 from slope_atlas.whitehead import (
     FIBER_PAIRING,
     WL_MONODROMY,
@@ -16,6 +19,8 @@ from slope_atlas.whitehead import (
     Orderable,
     SurgeryVerdict,
     Ternary,
+    _decide,
+    _facts,
     classify,
     euler_criterion,
     plot_class,
@@ -268,3 +273,150 @@ def test_verdict_is_frozen():
     with pytest.raises(Exception):
         v.lspace = NO
     assert isinstance(v, SurgeryVerdict)
+
+
+# ---------------------------------------------------------------------------
+# The verdict rules see a slope only through its facts.
+# ---------------------------------------------------------------------------
+
+def _oracle_classify(s1, s2):
+    """The verdict rules written per slope pair, as `classify` stated them
+    before it was split into `_facts` and `_decide`."""
+    homology = (abs(s1.num), abs(s2.num))
+    if s1.num == 0 or s2.num == 0:
+        return SurgeryVerdict(
+            slope=(s1, s2), is_qhs=False, homology=homology,
+            lspace=NA, taut_foliation=NA, euler_vanishing=NA,
+            left_orderable=Orderable.NOT_APPLICABLE,
+            citations=("non-qhs-zero-numerator",))
+    if s1.is_infinite() or s2.is_infinite():
+        return SurgeryVerdict(
+            slope=(s1, s2), is_qhs=True, homology=homology,
+            lspace=YES, taut_foliation=NO, euler_vanishing=NA,
+            left_orderable=Orderable.NO,
+            citations=("lens-space-filling", "nonorderable-lens-or-s3"))
+    is_lspace = s1 >= ONE and s2 >= ONE
+    citations = []
+    if is_lspace:
+        lspace, foliation = YES, NO
+        citations.append("lspace-threshold")
+    else:
+        lspace, foliation = NO, YES
+        citations.append("foliation-below-one")
+    euler = NA
+    if foliation is YES:
+        # |q| = 1 mod p with p = |numerator|, written out here so the
+        # oracle does not share the library's congruence helper.
+        if all((s.den - 1) % abs(s.num) == 0 for s in (s1, s2)):
+            euler = YES
+        else:
+            euler = NO
+        citations.append("euler-congruence")
+    lo_yes = []
+    lo_no = []
+    if euler is YES:
+        lo_yes.append("orderable-from-euler-vanishing")
+    if any(s.is_integer() and s.num <= -1 for s in (s1, s2)):
+        lo_yes.append("orderable-negative-integer-fiber")
+    if is_lspace and any(s.is_integer() for s in (s1, s2)):
+        lo_no.append("nonorderable-positive-integer-lspace")
+    if lo_yes and lo_no:
+        raise InconsistentVerdictError(
+            f"orderability rules disagree on {s1}, {s2}: "
+            f"{lo_yes} versus {lo_no}")
+    if lo_yes:
+        orderable = Orderable.YES
+        citations.extend(lo_yes)
+    elif lo_no:
+        orderable = Orderable.NO
+        citations.extend(lo_no)
+    else:
+        orderable = Orderable.UNKNOWN
+    return SurgeryVerdict(
+        slope=(s1, s2), is_qhs=True, homology=homology,
+        lspace=lspace, taut_foliation=foliation, euler_vanishing=euler,
+        left_orderable=orderable, citations=tuple(citations))
+
+
+# One slope for each set of facts a slope can have.  Every integer passes
+# the congruence (q = 1), every negative slope is below 1, and a
+# non-integer p/q >= 1 has p > q > 1, so 0 < q - 1 < p and the congruence
+# fails there: of the 16 fact tuples only 5 occur, and with "zero" and
+# "inf" that makes 7 (3/2 and 7/5 share theirs, as do 1/2 and 5/6).
+FACT_REPRESENTATIVES = [q(0), INF, q(1), q(-3), q(1, 2), q(5, 6), q(3, 2),
+                        q(7, 5), q(3, 5)]
+REALIZABLE_FACTS = frozenset(_facts(s) for s in FACT_REPRESENTATIVES)
+
+_slopes = st.one_of(
+    st.just(INF),
+    st.builds(ExtRational, st.integers(-10**12, 10**12),
+              st.integers(-10**12, 10**12).filter(bool)))
+
+
+def test_realizable_facts_are_seven():
+    assert len(REALIZABLE_FACTS) == 7
+    assert {"zero", "inf"} <= REALIZABLE_FACTS
+
+
+@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
+def test_facts_of_any_slope_are_realizable(num, den):
+    assume(num or den)
+    assert _facts(ExtRational(num, den)) in REALIZABLE_FACTS
+
+
+def test_rules_never_conflict():
+    # With every realizable fact pair decided, InconsistentVerdictError
+    # (exit 3) cannot be raised for any slope pair.
+    for f1 in REALIZABLE_FACTS:
+        for f2 in REALIZABLE_FACTS:
+            _decide(f1, f2)
+    for s1 in FACT_REPRESENTATIVES:
+        for s2 in FACT_REPRESENTATIVES:
+            assert classify(s1, s2) == _oracle_classify(s1, s2)
+
+
+def _oracle_grid():
+    out = {INF, q(0), q(1), q(-1)}
+    out.update(q(p, d) for p in range(-6, 7) for d in range(1, 7))
+    for p, d in ((10**6 + 1, 10**6), (10**6, 10**6 + 1), (1, 10**6),
+                 (10**6, 1), (999_999, 10**6), (10**6 + 3, 2)):
+        out.update(q(sp * p, sd * d) for sp in (1, -1) for sd in (1, -1))
+    return sorted(out, key=lambda s: (s.num, s.den))
+
+
+def test_classify_matches_pairwise_oracle():
+    grid = _oracle_grid()
+    for s1 in grid:
+        for s2 in grid:
+            # Dataclass equality compares every field, citation order too.
+            assert classify(s1, s2) == _oracle_classify(s1, s2), (s1, s2)
+
+
+@given(_slopes, _slopes)
+def test_classify_matches_oracle_on_random_slopes(s1, s2):
+    assert classify(s1, s2) == _oracle_classify(s1, s2)
+
+
+def test_inconsistent_verdict_names_the_slope_pair(monkeypatch):
+    def conflicting(f1, f2):
+        raise InconsistentVerdictError("['yes-rule'] versus ['no-rule']")
+
+    monkeypatch.setattr(whitehead, "_decide", conflicting)
+    with pytest.raises(InconsistentVerdictError) as err:
+        classify(q(1, 2), q(-3))
+    assert str(err.value) == ("orderability rules disagree on 1/2, -3: "
+                              "['yes-rule'] versus ['no-rule']")
+
+
+def test_decide_memo_stays_bounded():
+    # The memo is keyed on facts, not slopes, so distinct slopes do not
+    # grow it: batch memory stays flat however long the input is.
+    rng = random.Random(56)
+    slopes = {INF, q(0)}
+    while len(slopes) < 10_000:
+        den = rng.choice((1, 2, rng.randint(1, 10**9)))
+        slopes.add(q(rng.randint(-10**9, 10**9), den))
+    slopes = list(slopes)
+    for s1, s2 in zip(slopes, slopes[1:] + slopes[:1]):
+        classify(s1, s2)
+    assert _decide.cache_info().currsize <= 64
