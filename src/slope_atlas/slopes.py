@@ -28,7 +28,8 @@ class ExtRational:
 
     def __post_init__(self):
         num, den = self.num, self.den
-        if not isinstance(num, int) or not isinstance(den, int):
+        # type(), not isinstance(): bool is a subclass of int.
+        if type(num) is not int or type(den) is not int:
             raise ValueError("slope components must be integers, got "
                              f"({num!r}, {den!r})")
         if den > 0 and math.gcd(num, den) == 1:

@@ -261,21 +261,22 @@ def test_batch_out_is_atomic(tmp_path, capsys, monkeypatch):
     src = _write_csv(tmp_path / "in.csv", "id,s1,s2\na,1,1\nb,2,2\nc,3,3\n")
     out = tmp_path / "out.csv"
     out.write_bytes(b"old contents\n")
-    calls = []
+    facts = cli._facts
 
-    def failing_classify(s1, s2):
-        calls.append((s1, s2))
-        if len(calls) == 3:
+    def failing_facts(s):
+        # Row 3 is the only row whose first slope is 3; the cached verdict
+        # cells are shared by all three rows, so the fault goes in here.
+        if str(s) == "3":
             raise InconsistentVerdictError("rules disagree")
-        return classify(s1, s2)
+        return facts(s)
 
-    monkeypatch.setattr(cli, "classify", failing_classify)
+    monkeypatch.setattr(cli, "_facts", failing_facts)
     assert run_cli("batch", src, "--out", str(out)) == 3
     assert "inconsistency" in capsys.readouterr().err
     assert out.read_bytes() == b"old contents\n"
     assert sorted(os.listdir(tmp_path)) == ["in.csv", "out.csv"]
 
-    monkeypatch.setattr(cli, "classify", classify)
+    monkeypatch.setattr(cli, "_facts", facts)
     old_umask = os.umask(0o027)
     try:
         fresh = tmp_path / "fresh.csv"
@@ -393,6 +394,83 @@ def test_batch_round_trip_consistency(tmp_path, capsys):
                                v.lspace.value, v.taut_foliation.value,
                                v.euler_vanishing.value,
                                v.left_orderable.value]
+
+
+# One slope per fact value, plus 3/5 for the one value the others miss.
+FACT_REPRESENTATIVES = ("0", "inf", "1", "-3", "1/2", "5/6", "3/2", "7/5",
+                        "3/5")
+# Spellings that parse to slopes of those facts but are not canonical.
+ODD_SPELLINGS = ("0/-7", "-6/-4", "2/-1", "-4/0", "1000001/1000000",
+                 "1000000/1000001", "-1000000/2000001", "999999/-1000000")
+
+
+def _pairwise_batch(text):
+    """Output lines and stdout lines of `batch` on a labelled CSV, each row
+    rendered from its own `classify` verdict; malformed rows are skipped."""
+    out = ["id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable,"
+           "label,agrees"]
+    classes = dict.fromkeys(["lspace", "foliation", "non-qhs"], 0)
+    orderable = dict.fromkeys(["yes", "no", "unknown", "na"], 0)
+    agree = 0
+    for line in text.splitlines()[1:]:
+        ident, t1, t2, label = line.split(",")
+        try:
+            s1, s2 = parse_slope(t1), parse_slope(t2)
+        except ValueError:
+            continue
+        v = classify(s1, s2)
+        classes[plot_class(v)] += 1
+        orderable[v.left_orderable.value] += 1
+        ok = label == v.left_orderable.value
+        agree += ok
+        out.append(",".join([
+            ident, str(s1), str(s2), "true" if v.is_qhs else "false",
+            str(v.homology[0]), str(v.homology[1]), v.lspace.value,
+            v.taut_foliation.value, v.euler_vanishing.value,
+            v.left_orderable.value, label, "true" if ok else "false"]))
+    rows = len(out) - 1
+    summary = [f"rows: {rows}"]
+    summary += [f"{k}: {n}" for k, n in classes.items()]
+    summary += [f"left-orderable {k}: {n}" for k, n in orderable.items()]
+    summary.append(f"label agreement: {agree}/{rows}")
+    return out, summary
+
+
+def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys):
+    reps = FACT_REPRESENTATIVES
+    pairs = [(a, b) for a in reps for b in reps]
+    pairs += [(a, b) for odd in ODD_SPELLINGS for rep in reps
+              for a, b in ((odd, rep), (rep, odd))]
+    pairs.insert(40, ("1/0/2", "1"))
+    labels = ("yes", "no", "unknown", "na")
+    text = "id,s1,s2,label\n" + "".join(
+        f"r{i},{a},{b},{labels[i % 4]}\n" for i, (a, b) in enumerate(pairs))
+    src = _write_csv(tmp_path / "in.csv", text)
+    out = tmp_path / "out.csv"
+    assert run_cli("batch", src, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"{src}:42: invalid slope token '1/0/2'", "failed rows: 1"]
+    want_rows, want_summary = _pairwise_batch(text)
+    assert out.read_text().splitlines() == want_rows
+    assert captured.out.splitlines() == want_summary
+    assert cli._batch_cells.cache_info().currsize <= 49
+
+
+def test_cli_import_leaves_cone_modules_unloaded():
+    script = (
+        "import sys\n"
+        "import slope_atlas.cli\n"
+        "print(*sys.modules)\n"
+        "from slope_atlas.branched import carried_weight_cone\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "slope_atlas.whitehead" in loaded
+    assert "slope_atlas.branched" not in loaded
+    assert "slope_atlas.traintrack" not in loaded
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ def test_normalize_rejects_zero_over_zero():
 def test_normalize_rejects_non_integers():
     with pytest.raises(ValueError):
         ExtRational(1.5, 2)
+    with pytest.raises(ValueError):
+        ExtRational(True, 1)
+    with pytest.raises(ValueError):
+        ExtRational(1, False)
 
 
 @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
