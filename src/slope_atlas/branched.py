@@ -23,12 +23,9 @@ Both have no sink discs and carry exactly the fundamental-class ray.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .monodromy import coherent_orientations, is_coherent
 
@@ -266,62 +263,85 @@ def carried_weight_cone(c, bound):
     """All nonnegative integer weight systems with every weight <= bound,
     sorted by their weight tuple in sector order.
 
-    The switch equations are row-reduced over the rationals, which writes
-    the weight of each pivot sector as a combination of the free sectors'
-    weights.  Each free assignment in 0..bound is tried once; with the
-    denominators cleared, a pivot weight is kept only when it is integral
-    and lies in 0..bound.
+    The switch equations are row-reduced in integers, cross-multiplying
+    and dividing by the gcd, to rows d * w[pivot] = sum(c_i * w[free_i])
+    with d > 0.  The free sectors are set to 0..bound in order, depth first.
+    A complete row keeps its pivot weight only when integral and in
+    0..bound.  An incomplete row cuts the branch when the unset sectors,
+    which add between bound * (sum of c_i < 0) and bound * (sum of c_i > 0),
+    can no longer bring it into 0..d * bound.  The cut is exact: it tests a
+    relaxation, and integrality only on complete rows.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     order = c.sector_ids()
     col = {sid: j for j, sid in enumerate(order)}
-    reduced = {}   # pivot column -> row {column: coefficient}, pivot 1
+    reduced = {}   # pivot column -> row {column: coefficient}, pivot > 0
     for a in c.arcs:
         row = {}
         for sid, sign in ((a.big, 1), (a.small_a, -1), (a.small_b, -1)):
             row[col[sid]] = row.get(col[sid], 0) + sign
-        for j, prow in reduced.items():
-            if row.get(j):
-                _add_multiple(row, prow, -row[j])
         row = {j: v for j, v in row.items() if v}
+        for j in [j for j in row if j in reduced]:
+            row = _eliminate(row, reduced[j], j)
         if not row:
             continue
         pivot = max(row)
-        lead = row[pivot]
-        # Rows led by +-1 stay integral; others need exact division.
-        row = {j: v * lead if abs(lead) == 1 else Fraction(v) / lead
-               for j, v in row.items()}
-        for prow in reduced.values():
-            if prow.get(pivot):
-                _add_multiple(prow, row, -prow[pivot])
+        if row[pivot] < 0:
+            row = {j: -v for j, v in row.items()}
+        for p, prow in reduced.items():
+            if pivot in prow:
+                reduced[p] = _eliminate(prow, row, pivot)
         reduced[pivot] = row
     free = [j for j in range(len(order)) if j not in reduced]
-    # d * w[pivot] = sum(coeffs[i] * w[free[i]]) in integers.
-    solved = []
-    for pivot, row in reduced.items():
-        d = math.lcm(*(v.denominator for v in row.values()))
-        solved.append((pivot, d, [int(-row.get(f, 0) * d) for f in free]))
-    out = []
-    for point in itertools.product(range(bound + 1), repeat=len(free)):
-        w = [0] * len(order)
-        for f, v in zip(free, point):
-            w[f] = v
-        for pivot, d, coeffs in solved:
-            q, r = divmod(sum(map(operator.mul, coeffs, point)), d)
-            if r or not 0 <= q <= bound:
-                break
-            w[pivot] = q
-        else:
+    # steps[f]: (pivot, c, least, most, d, d * bound, complete) per row with
+    # c != 0 on f; the free sectors after f add least..most to the row.
+    steps = {f: [] for f in free}
+    for p, row in reduced.items():
+        least = most = 0
+        tail = sorted((f for f in row if f != p), reverse=True)
+        for f in tail:
+            steps[f].append((p, -row[f], least, most, row[p], row[p] * bound,
+                             f == tail[0]))
+            least -= bound * max(row[f], 0)
+            most -= bound * min(row[f], 0)
+    sums, w = [0] * len(order), [0] * len(order)   # sums: per pivot row
+    out, i = [], 0
+    while i >= 0:
+        if i == len(free):
             out.append(tuple(w))
-    out.sort()
-    return tuple(WeightSystem(tuple(zip(order, w))) for w in out)
+            i -= 1
+        else:
+            for p, _, least, most, d, top, complete in steps[free[i]]:
+                s = sums[p]
+                if s + most < 0 or s + least > top or complete and s % d:
+                    break
+                w[p] = s // d   # final once the row is complete
+            else:
+                i += 1
+                continue
+        # Step to the next assignment, backing out of sectors at bound.
+        while i >= 0 and w[free[i]] == bound:
+            for p, cf, *_ in steps[free[i]]:
+                sums[p] -= bound * cf
+            w[free[i]] = 0
+            i -= 1
+        if i >= 0:
+            w[free[i]] += 1
+            for p, cf, *_ in steps[free[i]]:
+                sums[p] += cf
+    return tuple(WeightSystem(tuple(zip(order, w))) for w in sorted(out))
 
 
-def _add_multiple(row, prow, factor):
-    """row += factor * prow, in place."""
-    for j, v in prow.items():
-        row[j] = row.get(j, 0) + factor * v
+def _eliminate(row, prow, j):
+    """a * row - b * prow with a > 0 and column j cleared, divided by the
+    gcd of its entries; zero entries are dropped."""
+    g = math.gcd(prow[j], row[j])
+    a, b = prow[j] // g, row[j] // g
+    out = {k: a * row.get(k, 0) - b * prow.get(k, 0)
+           for k in row.keys() | prow.keys()}
+    g = math.gcd(*out.values())
+    return {k: v // g for k, v in out.items() if v}
 
 
 def fundamental_ray(c, bound):

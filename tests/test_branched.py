@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slope_atlas.branched import (
     BranchArc,
@@ -40,6 +45,60 @@ def weight_cone_oracle(c, bound):
             out.append(tuple((sid, weights[sid]) for sid in ids))
     return tuple(WeightSystem(ws)
                  for ws in sorted(out, key=lambda ws: tuple(w for _, w in ws)))
+
+
+def _product_cone(c, bound):
+    """The row-reduced search that the pruned one replaced, kept as a
+    reference: the switch equations are row-reduced over the rationals and
+    every free assignment in 0..bound is tried in full."""
+    order = c.sector_ids()
+    col = {sid: j for j, sid in enumerate(order)}
+    reduced = {}   # pivot column -> row {column: coefficient}, pivot 1
+    for a in c.arcs:
+        row = {}
+        for sid, sign in ((a.big, 1), (a.small_a, -1), (a.small_b, -1)):
+            row[col[sid]] = row.get(col[sid], 0) + sign
+        for j, prow in reduced.items():
+            if row.get(j):
+                _add_multiple(row, prow, -row[j])
+        row = {j: v for j, v in row.items() if v}
+        if not row:
+            continue
+        pivot = max(row)
+        lead = row[pivot]
+        # Rows led by +-1 stay integral; others need exact division.
+        row = {j: v * lead if abs(lead) == 1 else Fraction(v) / lead
+               for j, v in row.items()}
+        for prow in reduced.values():
+            if prow.get(pivot):
+                _add_multiple(prow, row, -prow[pivot])
+        reduced[pivot] = row
+    free = [j for j in range(len(order)) if j not in reduced]
+    # d * w[pivot] = sum(coeffs[i] * w[free[i]]) in integers.
+    solved = []
+    for pivot, row in reduced.items():
+        d = math.lcm(*(v.denominator for v in row.values()))
+        solved.append((pivot, d, [int(-row.get(f, 0) * d) for f in free]))
+    out = []
+    for point in itertools.product(range(bound + 1), repeat=len(free)):
+        w = [0] * len(order)
+        for f, v in zip(free, point):
+            w[f] = v
+        for pivot, d, coeffs in solved:
+            q, r = divmod(sum(map(operator.mul, coeffs, point)), d)
+            if r or not 0 <= q <= bound:
+                break
+            w[pivot] = q
+        else:
+            out.append(tuple(w))
+    out.sort()
+    return tuple(WeightSystem(tuple(zip(order, w))) for w in out)
+
+
+def _add_multiple(row, prow, factor):
+    """row += factor * prow, in place."""
+    for j, v in prow.items():
+        row[j] = row.get(j, 0) + factor * v
 
 
 def sink_oracle(c):
@@ -310,6 +369,68 @@ def test_weight_cone_matches_oracle_small():
             assert carried_weight_cone(c, bound) == weight_cone_oracle(c, bound)
 
 
+def _generated_monodromies():
+    """Ten seeded monodromies for each k = 1..5, with |a_i| <= 6 and
+    |a_0| <= 3; the magnitudes 1 and 6 and every a_0 appear for each k."""
+    rng = random.Random(35)
+    out = []
+    for k in range(1, 6):
+        for j in range(10):
+            mags = [1 + (j + i) % 6 if j < 6 else rng.randint(1, 6)
+                    for i in range(k)]
+            out.append(Monodromy(rng.choice((-1, 1)) * (j % 4),
+                                 tuple(rng.choice((-1, 1)) * a
+                                       for a in mags)))
+    return out
+
+
+def test_weight_cone_matches_product_search_on_generated_family():
+    monodromies = _generated_monodromies()
+    assert {m.a0 for m in monodromies} == set(range(-3, 4))
+    for m in monodromies:
+        for c in complexes_for(m).values():
+            for bound in range(5):
+                assert carried_weight_cone(c, bound) == _product_cone(c,
+                                                                      bound)
+
+
+_IDS = "ABCDEFG"
+
+
+@st.composite
+def _small_complexes(draw):
+    """Up to 7 disc sectors and 5 switches over them: small sides may
+    repeat or equal the big side, and unnamed sectors stay isolated."""
+    ids = _IDS[:draw(st.integers(1, len(_IDS)))]
+    side = st.sampled_from(ids)
+    switches = draw(st.lists(st.tuples(side, side, side), max_size=5))
+    return _plain_complex(ids, *switches)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_complexes(), st.integers(0, 3))
+@example(_plain_complex("AB", ("A", "B", "B")), 3)        # pivot 2
+@example(_plain_complex("ABC", ("A", "B", "B"), ("B", "C", "C")), 3)
+@example(_plain_complex("ABC", ("A", "A", "B"), ("C", "B", "A")), 3)
+@example(_plain_complex("ABCD", ("C", "A", "B")), 2)      # D isolated
+@example(_plain_complex("ABCD", ("D", "C", "C"), ("D", "A", "B")), 2)
+@example(_plain_complex("ABC", ("A", "A", "A"), ("B", "C", "B")), 2)
+def test_weight_cone_matches_oracle_on_random_complexes(c, bound):
+    # The examples give pivots 2 and 4, big == small_a, an isolated sector,
+    # a sector pinned to 0, and 2C = A + B, whose parity is settled only
+    # once both A and B are set.
+    assert carried_weight_cone(c, bound) == weight_cone_oracle(c, bound)
+
+
+def test_weight_cone_of_many_isolated_sectors_at_bound_zero():
+    # Every sector is free; the search must not recurse once per sector.
+    ids = [f"Z{j}" for j in range(1200)]
+    c = BranchComplex(tuple(Sector(sid, SectorKind.DISC, False)
+                            for sid in ids), ())
+    zero = WeightSystem(tuple((sid, 0) for sid in ids))
+    assert carried_weight_cone(c, 0) == (zero,)
+
+
 def test_weight_cone_frozen_example():
     c = build_parallel_arc_complex(Monodromy(1, (1, -1)))
     cone = carried_weight_cone(c, 3)
@@ -325,6 +446,11 @@ def test_weight_cone_large_case_still_pure_ray():
     cone = carried_weight_cone(c, 2)
     assert cone == fundamental_ray(c, 2)
     assert len(cone) == 3
+    # Five free sectors each: 101^5 full assignments per coherent complex.
+    for m in (Monodromy(2, (-6, -5, 4, -3, -2)),
+              Monodromy(3, (-1, 6, -5, 4, 3))):
+        for c in complexes_for(m).values():
+            assert carried_weight_cone(c, 100) == fundamental_ray(c, 100)
 
 
 def test_weight_cone_monotone_in_bound():
