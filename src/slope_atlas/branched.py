@@ -26,6 +26,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .monodromy import coherent_orientations, is_coherent
 
@@ -244,8 +245,12 @@ class WeightSystem:
     def as_dict(self):
         return dict(self.weights)
 
+    @cached_property
+    def _table(self):
+        return dict(self.weights)
+
     def __getitem__(self, sector_id):
-        return self.as_dict()[sector_id]
+        return self._table[sector_id]
 
 
 def check_weights(c, weights):
@@ -271,6 +276,14 @@ def carried_weight_cone(c, bound):
     which add between bound * (sum of c_i < 0) and bound * (sum of c_i > 0),
     can no longer bring it into 0..d * bound.  The cut is exact: it tests a
     relaxation, and integrality only on complete rows.
+
+    The search order is the sorted order, so no sort is needed.  A row's
+    pivot is its largest column when the row is inserted, and
+    back-substitution only brings in smaller columns, so a pivot's weight
+    depends only on free sectors of lower column.  Two systems therefore
+    first differ at a free column, and the search visits free columns in
+    ascending order with ascending values.  Each (sector id, weight) pair
+    is one tuple, shared by every system of the result that holds it.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -306,10 +319,12 @@ def carried_weight_cone(c, bound):
             least -= bound * max(row[f], 0)
             most -= bound * min(row[f], 0)
     sums, w = [0] * len(order), [0] * len(order)   # sums: per pivot row
+    shared = [{} for _ in order]   # per sector: weight -> (id, weight)
     out, i = [], 0
     while i >= 0:
         if i == len(free):
-            out.append(tuple(w))
+            out.append(WeightSystem(tuple(map(dict.setdefault, shared, w,
+                                              zip(order, w)))))
             i -= 1
         else:
             for p, _, least, most, d, top, complete in steps[free[i]]:
@@ -330,7 +345,7 @@ def carried_weight_cone(c, bound):
             w[free[i]] += 1
             for p, cf, *_ in steps[free[i]]:
                 sums[p] += cf
-    return tuple(WeightSystem(tuple(zip(order, w))) for w in sorted(out))
+    return tuple(out)
 
 
 def _eliminate(row, prow, j):

@@ -172,12 +172,13 @@ def parse_multislope(text, dim=None):
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
-    toks = [t for t in body.split(",")]
+    toks = body.split(",")
     if toks == [""]:
-        raise ValueError(f"invalid multislope {text!r}")
+        raise ValueError(f"invalid multislope {shown_token(text)!r}")
     slopes = tuple(parse_slope(t) for t in toks)
     if dim is not None and len(slopes) != dim:
-        raise ValueError(f"expected {dim} slopes, got {len(slopes)} in {text!r}")
+        raise ValueError(f"expected {dim} slopes, got {len(slopes)} in "
+                         f"{shown_token(text)!r}")
     return slopes
 
 

@@ -6,6 +6,8 @@ import itertools
 import math
 import operator
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -394,6 +396,42 @@ def test_weight_cone_matches_product_search_on_generated_family():
                                                                       bound)
 
 
+def test_weight_cone_matches_product_search_on_free_complexes():
+    # The two free shapes of the benchmark: 5^7 free assignments at bound
+    # 4, beyond the reach of the random-complex property below.
+    ids = "ABCDEFGH"
+    for switch in (("A", "B", "C"), ("A", "B", "B")):
+        c = _plain_complex(ids, switch)
+        for bound in range(5):
+            cone = carried_weight_cone(c, bound)
+            assert cone == _product_cone(c, bound)
+            pairs = {}
+            for ws in cone:
+                # Equal (id, weight) pairs are one shared tuple.
+                for pair in ws.weights:
+                    assert pairs.setdefault(pair, pair) is pair
+
+
+def test_weight_cone_memory_follows_pairs_met_not_bound():
+    # w[i+1] = 2 * w[i] along 20 sectors: at any bound below 2^19 only
+    # the zero system remains.
+    ids = [f"S{j}" for j in range(20)]
+    c = BranchComplex(
+        tuple(Sector(sid, SectorKind.DISC, False) for sid in ids),
+        tuple(BranchArc(f"C{j}", ids[j + 1], ids[j], ids[j])
+              for j in range(19)))
+    bound = 2000
+    table = len(ids) * (bound + 1) * sys.getsizeof(("S0", bound))
+    tracemalloc.start()
+    try:
+        cone = carried_weight_cone(c, bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cone == (WeightSystem(tuple((sid, 0) for sid in ids)),)
+    assert peak < table // 20
+
+
 _IDS = "ABCDEFG"
 
 
@@ -477,6 +515,25 @@ def test_solutions_verify_and_check_weights_rejects_bad():
     assert not check_weights(c, {**good, "A1S1": 1})
     assert not check_weights(c, {sid: -1 for sid in c.sector_ids()})
     assert not check_weights(c, {"D1": 0})
+
+
+def test_weight_system_lookup():
+    c = build_parallel_arc_complex(Monodromy(3, (-1, 6, -5, 4, 3)))
+    ws = carried_weight_cone(c, 2)[2]
+    text, key = repr(ws), hash(ws)
+    table = ws.as_dict()
+    assert len(table) == 80
+    for sid, weight in table.items():
+        assert ws[sid] == weight
+    with pytest.raises(KeyError):
+        ws["Z9"]
+    # The lookup table is not a field: equality, hash and repr stay, and
+    # as_dict() still hands out a fresh dict.
+    assert repr(ws) == text and hash(ws) == key
+    assert ws == WeightSystem(ws.weights)
+    assert ws.as_dict() is not ws.as_dict()
+    table["D1"] = 7
+    assert ws["D1"] == 0
 
 
 def test_fundamental_ray_shape():

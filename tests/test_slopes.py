@@ -91,6 +91,10 @@ def test_parse_and_format_round_trip():
     assert parse_multislope("(inf, -7/2)") == (INF, q(-7, 2))
     assert parse_multislope("1,2/3") == (q(1), q(2, 3))
     assert format_multislope((INF, q(-7, 2))) == "(inf, -7/2)"
+    for bad in (",".join(["1"] * 50000), " " * 100000 + "()"):
+        with pytest.raises(ValueError) as err:
+            parse_multislope(bad, dim=2)
+        assert len(str(err.value)) < 2 * MAX_SLOPE_TOKEN
 
 
 @pytest.mark.parametrize("bad", ["", "foo", "1/2/3", "1.5", "0/0", "--2",
