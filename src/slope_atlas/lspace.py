@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .slopes import INF, ONE, ZERO, CircularArc, ExtRational, Region
+from .slopes import (INF, ONE, ZERO, CircularArc, ExtRational, Region,
+                     parse_int, shown_token)
 
 
 @dataclass(frozen=True)
@@ -63,15 +64,14 @@ def parse_profile(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        toks = line.split()
-        if len(toks) != 2:
-            raise ValueError(f"line {lineno}: expected two integers, "
-                             f"got {raw!r}")
         try:
-            rows.append((int(toks[0]), int(toks[1])))
+            # Unpacking stops at a third token, so a long line costs one
+            # split and at most three parses.
+            a, b = (parse_int(tok, "integer") for tok in line.split())
         except ValueError:
             raise ValueError(f"line {lineno}: expected two integers, "
-                             f"got {raw!r}") from None
+                             f"got {shown_token(raw)!r}") from None
+        rows.append((a, b))
     if not rows:
         raise ValueError("empty profile: missing 'p c' header line")
     (p, c), classes = rows[0], rows[1:]

@@ -4,9 +4,11 @@ A monodromy is a word tau_0^{a_0} tau_1^{a_1} ... tau_k^{a_k} in the twists
 along a fixed system of curves on the k-holed torus: a_0 twists along the
 closed curve, a_i != 0 along the i-th arc-parallel curve, indices cyclic
 (a_{k+1} = a_1).  Each boundary component gets a sign label from the
-adjacent pair of exponents; the labels drive both the multislope intervals
-realized by taut foliations transverse to the fibration and the two coherent
-orientations of the transfer arcs beta_i.
+adjacent pair of exponents, and the labels fix the two coherent orientations
+of the transfer arcs beta_i.  A taut foliation transverse to the fibration
+comes from a branched surface whose track on each boundary torus is one of
+the templates below; the template table is the only record of the slope arc
+each track realizes, and every foliation box is read from it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .slopes import (ABOVE_MINUS_ONE_ARC, BELOW_ONE_ARC, NEGATIVE_ARC,
-                     POSITIVE_ARC, Region, parse_int, shown_token)
+                     POSITIVE_ARC, UNIT_ARC, Region, parse_int, shown_token)
 
 
 class BoundaryLabel(enum.Enum):
@@ -25,6 +27,40 @@ class BoundaryLabel(enum.Enum):
 
     def __str__(self):
         return self.value
+
+
+class TrackTemplate(enum.Enum):
+    """The train track a branched surface induces on one boundary torus."""
+
+    A0_POSITIVE = "a0_positive"
+    A0_NEGATIVE = "a0_negative"
+    PPLUS = "pplus"
+    PMINUS = "pminus"
+    N_OUT = "n_out"   # both incident transfer arcs start at the boundary
+    N_IN = "n_in"     # both incident transfer arcs end at the boundary
+    WL_SPECIAL_FIRST = "wl_special_first"
+    WL_SPECIAL_SECOND = "wl_special_second"
+
+    def __str__(self):
+        return self.value
+
+
+# The open arc of slopes realized by measured laminations on each track.
+_REALIZED = {
+    TrackTemplate.A0_POSITIVE: BELOW_ONE_ARC,
+    TrackTemplate.PPLUS: BELOW_ONE_ARC,
+    TrackTemplate.A0_NEGATIVE: ABOVE_MINUS_ONE_ARC,
+    TrackTemplate.PMINUS: ABOVE_MINUS_ONE_ARC,
+    TrackTemplate.N_OUT: POSITIVE_ARC,
+    TrackTemplate.N_IN: NEGATIVE_ARC,
+    TrackTemplate.WL_SPECIAL_FIRST: POSITIVE_ARC,
+    TrackTemplate.WL_SPECIAL_SECOND: UNIT_ARC,
+}
+
+
+def realized_interval(template):
+    """The open arc of slopes realized by the template."""
+    return _REALIZED[template]
 
 
 @dataclass(frozen=True)
@@ -39,7 +75,7 @@ class Monodromy:
         object.__setattr__(self, "twists", twists)
         if not twists:
             raise ValueError("need at least one boundary twist exponent")
-        if any(not isinstance(a, int) for a in (self.a0, *twists)):
+        if any(type(a) is not int for a in (self.a0, *twists)):
             raise ValueError("exponents must be integers")
         if any(a == 0 for a in twists):
             raise ValueError("boundary twist exponents must be nonzero, "
@@ -85,60 +121,49 @@ def labels(m):
     return tuple(out)
 
 
+_P_TEMPLATES = {BoundaryLabel.PPLUS: TrackTemplate.PPLUS,
+                BoundaryLabel.PMINUS: TrackTemplate.PMINUS}
+
+
 def intervals(m):
     """The two multislope interval tuples (I, J) realized at the boundary.
 
-    p+ and p- boundaries realize (inf, 1) and (-1, inf) in both tuples.  The
-    n-labeled boundaries, in increasing index order, alternate (inf, 0) and
-    (0, inf) in I and the opposite way in J.
+    Boundary i carries the template of its p+ or p- label, or, when it is
+    n-labeled, the template the orientation gives it; I is read off the
+    first coherent orientation and J off the second.
     """
     labs = labels(m)
-    i_arcs, j_arcs = [], []
-    n_seen = 0
-    for lab in labs:
-        if lab is BoundaryLabel.PPLUS:
-            i_arcs.append(BELOW_ONE_ARC)
-            j_arcs.append(BELOW_ONE_ARC)
-        elif lab is BoundaryLabel.PMINUS:
-            i_arcs.append(ABOVE_MINUS_ONE_ARC)
-            j_arcs.append(ABOVE_MINUS_ONE_ARC)
-        else:
-            n_seen += 1
-            if n_seen % 2 == 1:
-                i_arcs.append(NEGATIVE_ARC)
-                j_arcs.append(POSITIVE_ARC)
-            else:
-                i_arcs.append(POSITIVE_ARC)
-                j_arcs.append(NEGATIVE_ARC)
-    return tuple(i_arcs), tuple(j_arcs)
+    out = []
+    for o in coherent_orientations(m):
+        n_types = dict(o.n_types)
+        out.append(tuple(
+            realized_interval(n_types.get(i) or _P_TEMPLATES[lab])
+            for i, lab in enumerate(labs, start=1)))
+    return tuple(out)
 
 
 def foliation_region(m):
     """Multislopes filling to manifolds with a taut foliation transverse to
     the fibration: the a_0 box plus the two interval boxes.
 
-    a_0 > 0 gives the box (inf, 1)^k, a_0 < 0 gives (-1, inf)^k, a_0 = 0
-    gives no box of this kind.  Identical boxes are merged.
+    a_0 > 0 puts the A0_POSITIVE track on every boundary, a_0 < 0 the
+    A0_NEGATIVE one, and a_0 = 0 gives no box of this kind.  Identical boxes
+    are merged.
     """
-    k = m.k
     boxes = []
-    if m.a0 > 0:
-        boxes.append(tuple([BELOW_ONE_ARC] * k))
-    elif m.a0 < 0:
-        boxes.append(tuple([ABOVE_MINUS_ONE_ARC] * k))
-    i_arcs, j_arcs = intervals(m)
-    for box in (i_arcs, j_arcs):
+    if m.a0:
+        a0 = (TrackTemplate.A0_POSITIVE if m.a0 > 0
+              else TrackTemplate.A0_NEGATIVE)
+        boxes.append((realized_interval(a0),) * m.k)
+    for box in intervals(m):
         if box not in boxes:
             boxes.append(box)
-    return Region(k, tuple(boxes))
+    return Region(m.k, tuple(boxes))
 
 
-class NType(enum.Enum):
-    OUT = "n_out"   # both incident arcs start at the boundary
-    IN = "n_in"     # both incident arcs end at the boundary
-
-    def __str__(self):
-        return self.value
+def _n_template(starts):
+    """N_OUT when both incident arcs start at the boundary, else N_IN."""
+    return TrackTemplate.N_OUT if starts else TrackTemplate.N_IN
 
 
 @dataclass(frozen=True)
@@ -147,9 +172,9 @@ class OrientationAssignment:
 
     ``directions[i]`` is the bit of beta_{i+1}: False means the arc runs
     from boundary i (cyclically, boundary 0 is boundary k) to boundary i+1,
-    True the reverse.  ``n_types`` maps each n-labeled boundary index
-    (1-based) to whether both incident arcs start there (OUT) or end there
-    (IN).
+    True the reverse.  ``n_types`` pairs each n-labeled boundary index
+    (1-based) with its template: N_OUT when both incident arcs start there,
+    N_IN when both end there.
     """
 
     directions: tuple
@@ -157,7 +182,7 @@ class OrientationAssignment:
 
     def reversed(self):
         flipped = tuple(not d for d in self.directions)
-        swapped = tuple((i, NType.IN if t is NType.OUT else NType.OUT)
+        swapped = tuple((i, _n_template(t is TrackTemplate.N_IN))
                         for (i, t) in self.n_types)
         return OrientationAssignment(flipped, swapped)
 
@@ -181,8 +206,7 @@ def coherent_orientations(m):
         for i in range(k):
             if labs[i] is BoundaryLabel.N:
                 # beta_i starts at boundary i exactly when its bit is True.
-                kind = NType.OUT if dirs[i] else NType.IN
-                n_types.append((i + 1, kind))
+                n_types.append((i + 1, _n_template(dirs[i])))
         out.append(OrientationAssignment(tuple(dirs), tuple(n_types)))
     return tuple(out)
 
@@ -206,5 +230,5 @@ def is_coherent(m, o):
     expected = {}
     for i in range(k):
         if labs[i] is BoundaryLabel.N:
-            expected[i + 1] = NType.OUT if o.directions[i] else NType.IN
+            expected[i + 1] = _n_template(o.directions[i])
     return dict(o.n_types) == expected

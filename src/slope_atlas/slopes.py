@@ -175,11 +175,10 @@ def parse_multislope(text, dim=None):
     toks = body.split(",")
     if toks == [""]:
         raise ValueError(f"invalid multislope {shown_token(text)!r}")
-    slopes = tuple(parse_slope(t) for t in toks)
-    if dim is not None and len(slopes) != dim:
-        raise ValueError(f"expected {dim} slopes, got {len(slopes)} in "
+    if dim is not None and len(toks) != dim:
+        raise ValueError(f"expected {dim} slopes, got {len(toks)} in "
                          f"{shown_token(text)!r}")
-    return slopes
+    return tuple(parse_slope(t) for t in toks)
 
 
 def format_multislope(slopes):

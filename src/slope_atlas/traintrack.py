@@ -1,54 +1,23 @@
-"""Boundary train tracks and the slope intervals they realize.
+"""Witnesses that a boundary train track realizes a slope.
 
 Each template names the track induced on one boundary torus by a branched
 surface; a measured lamination carried by the track realizes a boundary
-slope, and the realizable slopes form an open arc.  For the two annulus
-templates the text fixes a two-weight parametrization (x, y) with slope
-x - y, so witnesses are exact weight pairs; the other templates are sourced
-from pictures only and their witnesses are membership certificates.
+slope, and the realizable slopes form an open arc.  The templates and their
+arcs are defined in `monodromy`.  For the two annulus templates the text
+fixes a two-weight parametrization (x, y) with slope x - y, so witnesses are
+exact weight pairs; the other templates are sourced from pictures only and
+their witnesses are membership certificates.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .slopes import (ABOVE_MINUS_ONE_ARC, BELOW_ONE_ARC, NEGATIVE_ARC,
-                     POSITIVE_ARC, UNIT_ARC, ExtRational)
-
-
-class TrackTemplate(enum.Enum):
-    A0_POSITIVE = "a0_positive"
-    A0_NEGATIVE = "a0_negative"
-    PPLUS = "pplus"
-    PMINUS = "pminus"
-    N_OUT = "n_out"
-    N_IN = "n_in"
-    WL_SPECIAL_FIRST = "wl_special_first"
-    WL_SPECIAL_SECOND = "wl_special_second"
-
-    def __str__(self):
-        return self.value
-
-
-_REALIZED = {
-    TrackTemplate.A0_POSITIVE: BELOW_ONE_ARC,
-    TrackTemplate.PPLUS: BELOW_ONE_ARC,
-    TrackTemplate.A0_NEGATIVE: ABOVE_MINUS_ONE_ARC,
-    TrackTemplate.PMINUS: ABOVE_MINUS_ONE_ARC,
-    TrackTemplate.N_OUT: POSITIVE_ARC,
-    TrackTemplate.N_IN: NEGATIVE_ARC,
-    TrackTemplate.WL_SPECIAL_FIRST: POSITIVE_ARC,
-    TrackTemplate.WL_SPECIAL_SECOND: UNIT_ARC,
-}
+from .monodromy import TrackTemplate, realized_interval
+from .slopes import ExtRational
 
 _PARAMETRIC = (TrackTemplate.A0_POSITIVE, TrackTemplate.A0_NEGATIVE)
-
-
-def realized_interval(template):
-    """The open arc of slopes realized by the template."""
-    return _REALIZED[template]
 
 
 @dataclass(frozen=True)

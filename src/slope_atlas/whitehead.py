@@ -16,8 +16,9 @@ import functools
 from dataclasses import dataclass
 
 from .lspace import two_component_region
-from .monodromy import Monodromy, foliation_region
-from .slopes import POSITIVE_ARC, UNIT_ARC, Region, region_union
+from .monodromy import (Monodromy, TrackTemplate, foliation_region,
+                        realized_interval)
+from .slopes import Region, region_union
 
 # Monodromy of the fibered complement: one positive twist along the closed
 # curve, opposite twists along the two arc-parallel curves.
@@ -111,15 +112,15 @@ def wl_euler_vanishes(s1, s2):
     return all(_euler_congruence(*_pq(s)) for s in (s1, s2))
 
 
-_WL_EXTRA_BOXES = ((POSITIVE_ARC, UNIT_ARC), (UNIT_ARC, POSITIVE_ARC))
-
-
 def wl_foliation_region():
     """Multislopes whose Whitehead-link filling carries a taut foliation:
-    the fibration region of the monodromy plus the two mixed boxes.  On
-    finite slopes this is exactly min(s1, s2) < 1."""
+    the fibration region of the monodromy plus the two mixed boxes, with
+    the WL_SPECIAL_FIRST and WL_SPECIAL_SECOND tracks on the two boundaries
+    in either order.  On finite slopes this is exactly min(s1, s2) < 1."""
+    first = realized_interval(TrackTemplate.WL_SPECIAL_FIRST)
+    second = realized_interval(TrackTemplate.WL_SPECIAL_SECOND)
     return region_union(foliation_region(WL_MONODROMY),
-                        Region(2, _WL_EXTRA_BOXES))
+                        Region(2, ((first, second), (second, first))))
 
 
 def wl_lspace_region():

@@ -149,6 +149,82 @@ def test_region_json_with_framings(capsys):
     assert len(doc["foliation_region"]["boxes"]) == 5
 
 
+# The full reports of ``monodromy "1; 5, 10, -5"`` and of ``region``.  The
+# JSON pins are compact; the CLI prints them with ``indent=2``.
+_MONODROMY_TEXT = """\
+monodromy: 1; 5, 10, -5
+labels: p+ n n
+I: (inf,1) x (inf,0) x (0,inf)
+J: (inf,1) x (0,inf) x (inf,0)
+orientation 1: -> -> <-  (2:n_in 3:n_out)
+orientation 2: <- <- ->  (2:n_out 3:n_in)
+foliation region:
+  (inf,1) x (inf,1) x (inf,1)
+  (inf,1) x (inf,0) x (0,inf)
+  (inf,1) x (0,inf) x (inf,0)
+"""
+
+_MONODROMY_JSON = (
+    '{"monodromy":"1; 5, 10, -5","labels":["p+","n","n"],'
+    '"intervals":{"I":["(inf,1)","(inf,0)","(0,inf)"],'
+    '"J":["(inf,1)","(0,inf)","(inf,0)"]},'
+    '"orientations":[{"directions":[false,false,true],"n_types":{"2":"n_in",'
+    '"3":"n_out"}},{"directions":[true,true,false],"n_types":{"2":"n_out",'
+    '"3":"n_in"}}],"foliation_region":{"dim":3,"boxes":[[{"start":"inf",'
+    '"end":"1","start_closed":false,"end_closed":false},{"start":"inf",'
+    '"end":"1","start_closed":false,"end_closed":false},{"start":"inf",'
+    '"end":"1","start_closed":false,"end_closed":false}],[{"start":"inf",'
+    '"end":"1","start_closed":false,"end_closed":false},{"start":"inf",'
+    '"end":"0","start_closed":false,"end_closed":false},{"start":"0",'
+    '"end":"inf","start_closed":false,"end_closed":false}],[{"start":"inf",'
+    '"end":"1","start_closed":false,"end_closed":false},{"start":"0",'
+    '"end":"inf","start_closed":false,"end_closed":false},{"start":"inf",'
+    '"end":"0","start_closed":false,"end_closed":false}]],"lines":[]}}')
+
+_REGION_TEXT = """\
+L-space region (b1=0, b2=0):
+  [1,inf] x [1,inf]
+  {inf} x Q*
+  Q* x {inf}
+taut-foliation region:
+  (inf,1) x (inf,1)
+  (inf,0) x (0,inf)
+  (0,inf) x (inf,0)
+  (0,inf) x (-1,1)
+  (-1,1) x (0,inf)
+"""
+
+_REGION_JSON = (
+    '{"lspace_region":{"dim":2,"boxes":[[{"start":"1","end":"inf",'
+    '"start_closed":true,"end_closed":true},{"start":"1","end":"inf",'
+    '"start_closed":true,"end_closed":true}]],"lines":[0,1]},'
+    '"foliation_region":{"dim":2,"boxes":[[{"start":"inf","end":"1",'
+    '"start_closed":false,"end_closed":false},'
+    '{"start":"inf","end":"1","start_closed":false,"end_closed":false}],'
+    '[{"start":"inf","end":"0","start_closed":false,"end_closed":false},'
+    '{"start":"0","end":"inf","start_closed":false,"end_closed":false}],'
+    '[{"start":"0","end":"inf","start_closed":false,"end_closed":false},'
+    '{"start":"inf","end":"0","start_closed":false,"end_closed":false}],'
+    '[{"start":"0","end":"inf","start_closed":false,"end_closed":false},'
+    '{"start":"-1","end":"1","start_closed":false,"end_closed":false}],'
+    '[{"start":"-1","end":"1","start_closed":false,"end_closed":false},'
+    '{"start":"0","end":"inf","start_closed":false,"end_closed":false}]],'
+    '"lines":[]}}')
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (("monodromy", "1; 5, 10, -5"), _MONODROMY_TEXT),
+    (("monodromy", "1; 5, 10, -5", "--json"),
+     json.dumps(json.loads(_MONODROMY_JSON), indent=2) + "\n"),
+    (("region",), _REGION_TEXT),
+    (("region", "--json"),
+     json.dumps(json.loads(_REGION_JSON), indent=2) + "\n")],
+    ids=["monodromy-text", "monodromy-json", "region-text", "region-json"])
+def test_monodromy_and_region_output_pinned(capsys, argv, pinned):
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == pinned
+
+
 def test_region_rejects_negative_framing(capsys):
     assert run_cli("region", "--b1", "-1") == 2
     assert "nonnegative" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from slope_atlas.lspace import (
     select_interval,
     two_component_region,
 )
-from slope_atlas.slopes import INF, ZERO, ExtRational
+from slope_atlas.slopes import INF, MAX_SLOPE_TOKEN, ZERO, ExtRational
 
 
 def q(num, den=1):
@@ -141,6 +141,14 @@ def test_profile_parse_errors_name_line():
     assert "3" in str(err.value)
     with pytest.raises(ValueError):
         parse_profile("")
+    # Integers follow the ASCII grammar of every other input, and a long
+    # line is cut in the message.
+    for bad in ("+3 1", "1_0 1", "\u0663 1", "1 2 3", "7" * 5000 + " 1",
+                "1 " * 50000):
+        with pytest.raises(ValueError) as err:
+            parse_profile("# header next\n" + bad + "\n")
+        assert str(err.value).startswith("line 2: ")
+        assert len(str(err.value)) < 2 * MAX_SLOPE_TOKEN
 
 
 def test_profile_parse_skips_comment_and_blank_lines():

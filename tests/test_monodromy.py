@@ -10,8 +10,8 @@ import pytest
 from slope_atlas.monodromy import (
     BoundaryLabel,
     Monodromy,
-    NType,
     OrientationAssignment,
+    TrackTemplate,
     coherent_orientations,
     foliation_region,
     intervals,
@@ -19,10 +19,14 @@ from slope_atlas.monodromy import (
     labels,
     parse_monodromy,
 )
-from slope_atlas.slopes import (INF, MAX_SLOPE_TOKEN, MINUS_ONE, ONE, ZERO,
-                                CircularArc, ExtRational)
+from slope_atlas.slopes import (ABOVE_MINUS_ONE_ARC, BELOW_ONE_ARC, INF,
+                                MAX_SLOPE_TOKEN, MINUS_ONE, NEGATIVE_ARC, ONE,
+                                POSITIVE_ARC, UNIT_ARC, ZERO, CircularArc,
+                                ExtRational, Region, region_union)
+from slope_atlas.whitehead import WL_MONODROMY, wl_foliation_region
 
 PPLUS, PMINUS, N = BoundaryLabel.PPLUS, BoundaryLabel.PMINUS, BoundaryLabel.N
+N_IN, N_OUT = TrackTemplate.N_IN, TrackTemplate.N_OUT
 
 
 def q(num, den=1):
@@ -64,6 +68,14 @@ def test_zero_twist_rejected():
         Monodromy(1, (5, 0, -5))
     with pytest.raises(ValueError):
         Monodromy(1, ())
+
+
+@pytest.mark.parametrize("a0, twists", [
+    (True, (1, 1)), (False, (1, 1)), (1, (True, -1)), (1, (2, False))])
+def test_bool_exponents_rejected(a0, twists):
+    with pytest.raises(ValueError) as err:
+        Monodromy(a0, twists)
+    assert "integers" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +214,68 @@ def test_foliation_region_union_invariant_under_rotation():
 
 
 # ---------------------------------------------------------------------------
+# Reference: the boundary arcs as they were written out before every box was
+# read from the template table.
+# ---------------------------------------------------------------------------
+
+def _alternating_intervals(m):
+    """p+ and p- boundaries realize (inf, 1) and (-1, inf) in both tuples;
+    the n-labeled boundaries, in increasing index order, alternate (inf, 0)
+    and (0, inf) in I and the opposite way in J."""
+    i_arcs, j_arcs = [], []
+    n_seen = 0
+    for lab in labels(m):
+        if lab is PPLUS:
+            i_arcs.append(BELOW_ONE_ARC)
+            j_arcs.append(BELOW_ONE_ARC)
+        elif lab is PMINUS:
+            i_arcs.append(ABOVE_MINUS_ONE_ARC)
+            j_arcs.append(ABOVE_MINUS_ONE_ARC)
+        else:
+            n_seen += 1
+            if n_seen % 2 == 1:
+                i_arcs.append(NEGATIVE_ARC)
+                j_arcs.append(POSITIVE_ARC)
+            else:
+                i_arcs.append(POSITIVE_ARC)
+                j_arcs.append(NEGATIVE_ARC)
+    return tuple(i_arcs), tuple(j_arcs)
+
+
+def _literal_foliation_boxes(m):
+    """The a_0 box written out arc by arc, then the alternating boxes."""
+    boxes = []
+    if m.a0 > 0:
+        boxes.append(tuple([BELOW_ONE_ARC] * m.k))
+    elif m.a0 < 0:
+        boxes.append(tuple([ABOVE_MINUS_ONE_ARC] * m.k))
+    for box in _alternating_intervals(m):
+        if box not in boxes:
+            boxes.append(box)
+    return tuple(boxes)
+
+
+def test_template_boxes_match_alternation_reference():
+    words = 0
+    for k in range(1, 7):
+        for twists in itertools.product((-3, -1, 1, 2), repeat=k):
+            for a0 in (-1, 0, 1):
+                m = Monodromy(a0, twists)
+                assert intervals(m) == _alternating_intervals(m), m
+                assert (foliation_region(m).boxes
+                        == _literal_foliation_boxes(m)), m
+                words += 1
+    assert words == 16380
+
+
+def test_wl_foliation_region_matches_literal_mixed_boxes():
+    mixed = ((POSITIVE_ARC, UNIT_ARC), (UNIT_ARC, POSITIVE_ARC))
+    reference = region_union(
+        Region(2, _literal_foliation_boxes(WL_MONODROMY)), Region(2, mixed))
+    assert wl_foliation_region() == reference
+
+
+# ---------------------------------------------------------------------------
 # Coherent orientations.
 # ---------------------------------------------------------------------------
 
@@ -224,9 +298,9 @@ def test_orientations_frozen_example():
     m = Monodromy(1, (5, 10, -5))
     first, second = coherent_orientations(m)
     assert first.directions == (False, False, True)
-    assert first.n_types == ((2, NType.IN), (3, NType.OUT))
+    assert first.n_types == ((2, N_IN), (3, N_OUT))
     assert second.directions == (True, True, False)
-    assert second.n_types == ((2, NType.OUT), (3, NType.IN))
+    assert second.n_types == ((2, N_OUT), (3, N_IN))
     assert second == first.reversed()
 
 
@@ -285,7 +359,7 @@ def test_is_coherent_rejects_wrong_assignments():
     good = coherent_orientations(m)[0]
     bad_bits = OrientationAssignment((False, True, True), good.n_types)
     assert not is_coherent(m, bad_bits)
-    swapped = tuple((i, NType.IN if t is NType.OUT else NType.OUT)
+    swapped = tuple((i, N_IN if t is N_OUT else N_OUT)
                     for i, t in good.n_types)
     assert not is_coherent(m, OrientationAssignment(good.directions, swapped))
     assert not is_coherent(m, OrientationAssignment((False, False), good.n_types))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slope_atlas import slopes
 from slope_atlas.slopes import (
     INF,
     MAX_SLOPE_TOKEN,
@@ -95,6 +96,15 @@ def test_parse_and_format_round_trip():
         with pytest.raises(ValueError) as err:
             parse_multislope(bad, dim=2)
         assert len(str(err.value)) < 2 * MAX_SLOPE_TOKEN
+
+
+def test_parse_multislope_counts_before_parsing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(slopes, "parse_slope",
+                        lambda text: calls.append(text))
+    with pytest.raises(ValueError, match="expected 2 slopes, got 50000"):
+        parse_multislope(",".join(["1"] * 50000), dim=2)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", ["", "foo", "1/2/3", "1.5", "0/0", "--2",
