@@ -4,6 +4,8 @@ Subcommands: classify, monodromy, region, batch, plot.  Exit codes: 0 on
 success, 2 on malformed input (the diagnostic names the offending token),
 3 when independent verdict rules contradict each other; the tests decide
 every pair of slope facts the rules can see, so 3 is unreachable.
+`monodromy` and `region` import the region modules when they run; classify,
+batch and plot need only `rational` and `whitehead`.
 """
 
 from __future__ import annotations
@@ -19,16 +21,8 @@ import stat
 import sys
 from fractions import Fraction
 
-from .lspace import two_component_region
-from .monodromy import (
-    coherent_orientations,
-    foliation_region,
-    intervals,
-    labels,
-    parse_monodromy,
-)
-from .slopes import (INT_RE, SLOPE_RE, ExtRational, parse_int, parse_slope,
-                     shown_token)
+from .rational import (INT_RE, SLOPE_RE, ExtRational, parse_int,
+                       parse_slope, shown_token)
 from .whitehead import (
     InconsistentVerdictError,
     _decide,
@@ -125,6 +119,8 @@ def cmd_classify(args):
 
 
 def cmd_monodromy(args):
+    from .monodromy import (coherent_orientations, foliation_region,
+                            intervals, labels, parse_monodromy)
     m = parse_monodromy(args.word)
     labs = labels(m)
     i_arcs, j_arcs = intervals(m)
@@ -163,6 +159,7 @@ def cmd_monodromy(args):
 
 
 def cmd_region(args):
+    from .lspace import two_component_region
     b1 = parse_int(args.b1, "--b1 value")
     b2 = parse_int(args.b2, "--b2 value")
     if b1 < 0 or b2 < 0:

@@ -89,6 +89,13 @@ class Monodromy:
         return f"{self.a0}; " + ", ".join(str(a) for a in self.twists)
 
 
+# Monodromy of the fibered Whitehead-link complement: one positive twist
+# along the closed curve, opposite twists along the two arc-parallel curves.
+# `whitehead.wl_foliation_region` adds to its foliation region the boxes of
+# the WL_SPECIAL_FIRST and WL_SPECIAL_SECOND tracks.
+WL_MONODROMY = Monodromy(1, (1, -1))
+
+
 def parse_monodromy(text):
     """Parse 'a0; a1, a2, ..., ak'."""
     parts = text.split(";")

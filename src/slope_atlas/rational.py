@@ -1,0 +1,201 @@
+"""Exact slopes and the input grammar they are read with.
+
+A slope is an element of Q union {inf}, written p/q with gcd(p, q) = 1 and
+q >= 0; the infinity slope is 1/0 and the zero slope is 0/1.  Arcs and
+regions of slopes live in `slopes`, which re-exports the names defined here.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+
+
+class ExtRational:
+    """A slope p/q in lowest terms with q >= 0, where 1/0 is infinity.
+
+    The constructor normalizes, so equal slopes have identical field values
+    and structural equality is slope equality.  0/0 is rejected.  Instances
+    are immutable: assigning to a field raises AttributeError.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=1):
+        # type(), not isinstance(): bool is a subclass of int.
+        if type(num) is not int or type(den) is not int:
+            raise ValueError("slope components must be integers, got "
+                             f"({num!r}, {den!r})")
+        if den <= 0 or math.gcd(num, den) != 1:
+            if num == 0 and den == 0:
+                raise ValueError("0/0 is not a slope")
+            if den < 0:
+                num, den = -num, -den
+            if den == 0:
+                num = 1
+            else:
+                g = math.gcd(abs(num), den)
+                if g > 1:
+                    num //= g
+                    den //= g
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slots through the
+        # refusing __setattr__.
+        return ExtRational, (self.num, self.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not ExtRational:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def is_infinite(self):
+        return self.den == 0
+
+    def is_finite(self):
+        return self.den != 0
+
+    def is_zero(self):
+        return self.num == 0
+
+    def is_integer(self):
+        return self.den == 1
+
+    def floor(self):
+        """Integer floor; finite slopes only."""
+        self._require_finite("floor")
+        return self.num // self.den
+
+    def as_fraction(self):
+        from fractions import Fraction
+        self._require_finite("as_fraction")
+        return Fraction(self.num, self.den)
+
+    @classmethod
+    def from_fraction(cls, f):
+        return cls(f.numerator, f.denominator)
+
+    def _require_finite(self, what):
+        if self.den == 0:
+            raise ValueError(f"{what} is undefined for the infinity slope")
+
+    def _cmp_key(self, other):
+        if not isinstance(other, ExtRational):
+            raise TypeError(f"cannot compare slope with {type(other).__name__}")
+        self._require_finite("order comparison")
+        other._require_finite("order comparison")
+        # q > 0 on both sides, so cross multiplication preserves order.
+        return self.num * other.den, other.num * self.den
+
+    def __lt__(self, other):
+        a, b = self._cmp_key(other)
+        return a < b
+
+    def __le__(self, other):
+        a, b = self._cmp_key(other)
+        return a <= b
+
+    def __gt__(self, other):
+        a, b = self._cmp_key(other)
+        return a > b
+
+    def __ge__(self, other):
+        a, b = self._cmp_key(other)
+        return a >= b
+
+    def __neg__(self):
+        return ExtRational(-self.num, self.den)
+
+    def __str__(self):
+        if self.den == 0:
+            return "inf"
+        if self.den == 1:
+            return str(self.num)
+        return f"{self.num}/{self.den}"
+
+    def __repr__(self):
+        return f"ExtRational({self})"
+
+
+# The slot setters, which bypass the refusing __setattr__.
+_set_num = ExtRational.num.__set__
+_set_den = ExtRational.den.__set__
+
+INF = ExtRational(1, 0)
+ZERO = ExtRational(0)
+ONE = ExtRational(1)
+MINUS_ONE = ExtRational(-1)
+
+
+# The one input grammar: an ASCII integer, and a slope is "inf" or an
+# integer with an optional integer denominator.  int() alone would also take
+# "+3", "1_0" and non-ASCII digits such as "\u0663".
+INT_RE = re.compile(r"-?[0-9]+")
+SLOPE_RE = re.compile(rf"inf|({INT_RE.pattern})(?:/({INT_RE.pattern}))?")
+_match_slope = SLOPE_RE.fullmatch
+MAX_SLOPE_TOKEN = 100
+
+
+def shown_token(text):
+    """A token for an error message: as given, or when long the start of
+    its stripped text, cut to MAX_SLOPE_TOKEN characters."""
+    tok = text.strip()
+    return text if len(text) <= MAX_SLOPE_TOKEN else (
+        tok[:MAX_SLOPE_TOKEN] + "..." * (len(tok) > MAX_SLOPE_TOKEN))
+
+
+def parse_int(text, what):
+    """Parse an integer token of the input grammar; raises ValueError
+    naming ``what`` and the token otherwise."""
+    tok = text.strip()
+    if len(tok) <= MAX_SLOPE_TOKEN and INT_RE.fullmatch(tok):
+        return int(tok)
+    raise ValueError(f"invalid {what} {shown_token(text)!r}")
+
+
+def parse_slope(text):
+    """Parse 'p', 'p/q' or 'inf' into a slope.
+
+    Raises ValueError naming the offending token, cut to MAX_SLOPE_TOKEN
+    characters, on anything else.
+    """
+    tok = text.strip()
+    m = len(tok) <= MAX_SLOPE_TOKEN and _match_slope(tok)
+    if m:
+        num, den = m.groups()
+        if num is None:
+            return INF
+        num, den = int(num), int(den or 1)
+        if num or den:
+            return ExtRational(num, den)
+    raise ValueError(f"invalid slope token {shown_token(text)!r}"
+                     + (" (0/0 is not a slope)" if m else ""))
+
+
+def parse_multislope(text, dim=None):
+    """Parse '(s1, s2, ...)' (parentheses optional) into a slope tuple."""
+    body = text.strip()
+    if body.startswith("(") and body.endswith(")"):
+        body = body[1:-1]
+    toks = body.split(",")
+    if toks == [""]:
+        raise ValueError(f"invalid multislope {shown_token(text)!r}")
+    if dim is not None and len(toks) != dim:
+        raise ValueError(f"expected {dim} slopes, got {len(toks)} in "
+                         f"{shown_token(text)!r}")
+    return tuple(parse_slope(t) for t in toks)
+
+
+def format_multislope(slopes):
+    return "(" + ", ".join(str(s) for s in slopes) + ")"

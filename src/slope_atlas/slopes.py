@@ -1,188 +1,20 @@
-"""Exact slopes on the circle of boundary slopes.
+"""Arcs and regions on the circle of boundary slopes.
 
-A slope is an element of Q union {inf}, written p/q with gcd(p, q) = 1 and
-q >= 0; the infinity slope is 1/0 and the zero slope is 0/1.  Slopes live on
-a circle, so "intervals" are cyclic arcs rather than order intervals, and a
-region of multislopes is a finite union of arc products plus infinity lines.
-All arithmetic is exact over Python integers; no floating point is used.
+Slopes (`rational.ExtRational`) live on a circle, so "intervals" are cyclic
+arcs rather than order intervals, and a region of multislopes is a finite
+union of arc products plus infinity lines.  All arithmetic is exact over
+Python integers; no floating point is used.  The slope class and the input
+grammar are defined in `rational` and re-exported here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import re
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class ExtRational:
-    """A slope p/q in lowest terms with q >= 0, where 1/0 is infinity.
-
-    The constructor normalizes, so equal slopes have identical field values
-    and structural equality is slope equality.  0/0 is rejected.
-    """
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self):
-        num, den = self.num, self.den
-        # type(), not isinstance(): bool is a subclass of int.
-        if type(num) is not int or type(den) is not int:
-            raise ValueError("slope components must be integers, got "
-                             f"({num!r}, {den!r})")
-        if den > 0 and math.gcd(num, den) == 1:
-            return  # already in lowest terms
-        if num == 0 and den == 0:
-            raise ValueError("0/0 is not a slope")
-        if den < 0:
-            num, den = -num, -den
-        if den == 0:
-            num = 1
-        else:
-            g = math.gcd(abs(num), den)
-            if g > 1:
-                num //= g
-                den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def is_infinite(self):
-        return self.den == 0
-
-    def is_finite(self):
-        return self.den != 0
-
-    def is_zero(self):
-        return self.num == 0
-
-    def is_integer(self):
-        return self.den == 1
-
-    def floor(self):
-        """Integer floor; finite slopes only."""
-        self._require_finite("floor")
-        return self.num // self.den
-
-    def as_fraction(self):
-        from fractions import Fraction
-        self._require_finite("as_fraction")
-        return Fraction(self.num, self.den)
-
-    @classmethod
-    def from_fraction(cls, f):
-        return cls(f.numerator, f.denominator)
-
-    def _require_finite(self, what):
-        if self.den == 0:
-            raise ValueError(f"{what} is undefined for the infinity slope")
-
-    def _cmp_key(self, other):
-        if not isinstance(other, ExtRational):
-            raise TypeError(f"cannot compare slope with {type(other).__name__}")
-        self._require_finite("order comparison")
-        other._require_finite("order comparison")
-        # q > 0 on both sides, so cross multiplication preserves order.
-        return self.num * other.den, other.num * self.den
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._cmp_key(other)
-        return a >= b
-
-    def __neg__(self):
-        return ExtRational(-self.num, self.den)
-
-    def __str__(self):
-        if self.den == 0:
-            return "inf"
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
-
-    def __repr__(self):
-        return f"ExtRational({self})"
-
-
-INF = ExtRational(1, 0)
-ZERO = ExtRational(0)
-ONE = ExtRational(1)
-MINUS_ONE = ExtRational(-1)
-
-
-# The one input grammar: an ASCII integer, and a slope is "inf" or an
-# integer with an optional integer denominator.  int() alone would also take
-# "+3", "1_0" and non-ASCII digits such as "\u0663".
-INT_RE = re.compile(r"-?[0-9]+")
-SLOPE_RE = re.compile(rf"inf|({INT_RE.pattern})(?:/({INT_RE.pattern}))?")
-_match_slope = SLOPE_RE.fullmatch
-MAX_SLOPE_TOKEN = 100
-
-
-def shown_token(text):
-    """A token for an error message: as given, or when long the start of
-    its stripped text, cut to MAX_SLOPE_TOKEN characters."""
-    tok = text.strip()
-    return text if len(text) <= MAX_SLOPE_TOKEN else (
-        tok[:MAX_SLOPE_TOKEN] + "..." * (len(tok) > MAX_SLOPE_TOKEN))
-
-
-def parse_int(text, what):
-    """Parse an integer token of the input grammar; raises ValueError
-    naming ``what`` and the token otherwise."""
-    tok = text.strip()
-    if len(tok) <= MAX_SLOPE_TOKEN and INT_RE.fullmatch(tok):
-        return int(tok)
-    raise ValueError(f"invalid {what} {shown_token(text)!r}")
-
-
-def parse_slope(text):
-    """Parse 'p', 'p/q' or 'inf' into a slope.
-
-    Raises ValueError naming the offending token, cut to MAX_SLOPE_TOKEN
-    characters, on anything else.
-    """
-    tok = text.strip()
-    m = len(tok) <= MAX_SLOPE_TOKEN and _match_slope(tok)
-    if m:
-        num, den = m.groups()
-        if num is None:
-            return INF
-        num, den = int(num), int(den or 1)
-        if num or den:
-            return ExtRational(num, den)
-    raise ValueError(f"invalid slope token {shown_token(text)!r}"
-                     + (" (0/0 is not a slope)" if m else ""))
-
-
-def parse_multislope(text, dim=None):
-    """Parse '(s1, s2, ...)' (parentheses optional) into a slope tuple."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    toks = body.split(",")
-    if toks == [""]:
-        raise ValueError(f"invalid multislope {shown_token(text)!r}")
-    if dim is not None and len(toks) != dim:
-        raise ValueError(f"expected {dim} slopes, got {len(toks)} in "
-                         f"{shown_token(text)!r}")
-    return tuple(parse_slope(t) for t in toks)
-
-
-def format_multislope(slopes):
-    return "(" + ", ".join(str(s) for s in slopes) + ")"
+from .rational import (INF, INT_RE, MAX_SLOPE_TOKEN, MINUS_ONE, ONE, SLOPE_RE,
+                       ZERO, ExtRational, format_multislope, parse_int,
+                       parse_multislope, parse_slope, shown_token)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ homology sphere or not, L-space or taut-foliation side, vanishing of the
 Euler class of the foliation constructed on the taut side, and left
 orderability of the fundamental group.  Everything is decided by exact
 comparisons and congruences; each verdict field carries rule tags naming the
-decision rules that produced it.
+decision rules that produced it.  The two region functions import the
+region modules when called, so the verdict path loads none of them.
 """
 
 from __future__ import annotations
@@ -13,16 +14,6 @@ from __future__ import annotations
 import collections
 import enum
 import functools
-from dataclasses import dataclass
-
-from .lspace import two_component_region
-from .monodromy import (Monodromy, TrackTemplate, foliation_region,
-                        realized_interval)
-from .slopes import Region, region_union
-
-# Monodromy of the fibered complement: one positive twist along the closed
-# curve, opposite twists along the two arc-parallel curves.
-WL_MONODROMY = Monodromy(1, (1, -1))
 
 # Pairing of the relative Euler class with either once-punctured-torus fiber
 # half; fixed by the construction, independent of the filling.
@@ -52,21 +43,18 @@ class InconsistentVerdictError(RuntimeError):
     """Two independent rules produced contradictory verdict fields."""
 
 
-@dataclass(frozen=True)
-class EulerBoundary:
+class EulerBoundary(collections.namedtuple("EulerBoundary", "a b p q")):
     """Euler-class data at one filled boundary: the two pairing constants
     and the filling slope p/q with p > 0, q != 0."""
 
-    a: int
-    b: int
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError(f"p must be positive, got {self.p}")
-        if self.q == 0:
+    def __new__(cls, a, b, p, q):
+        if p <= 0:
+            raise ValueError(f"p must be positive, got {p}")
+        if q == 0:
             raise ValueError("q must be nonzero")
+        return super().__new__(cls, a, b, p, q)
 
 
 def euler_criterion(boundaries, e_tf_zero):
@@ -117,6 +105,9 @@ def wl_foliation_region():
     the fibration region of the monodromy plus the two mixed boxes, with
     the WL_SPECIAL_FIRST and WL_SPECIAL_SECOND tracks on the two boundaries
     in either order.  On finite slopes this is exactly min(s1, s2) < 1."""
+    from .monodromy import (WL_MONODROMY, TrackTemplate, foliation_region,
+                            realized_interval)
+    from .slopes import Region, region_union
     first = realized_interval(TrackTemplate.WL_SPECIAL_FIRST)
     second = realized_interval(TrackTemplate.WL_SPECIAL_SECOND)
     return region_union(foliation_region(WL_MONODROMY),
@@ -126,19 +117,14 @@ def wl_foliation_region():
 def wl_lspace_region():
     """The L-space multislopes of the Whitehead link (framing zero on both
     components)."""
+    from .lspace import two_component_region
     return two_component_region(0, 0)
 
 
-@dataclass(frozen=True)
-class SurgeryVerdict:
-    slope: tuple
-    is_qhs: bool
-    homology: tuple
-    lspace: Ternary
-    taut_foliation: Ternary
-    euler_vanishing: Ternary
-    left_orderable: Orderable
-    citations: tuple
+class SurgeryVerdict(collections.namedtuple("SurgeryVerdict", [
+        "slope", "is_qhs", "homology", "lspace", "taut_foliation",
+        "euler_vanishing", "left_orderable", "citations"])):
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

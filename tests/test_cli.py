@@ -533,20 +533,35 @@ def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys):
     assert cli._batch_cells.cache_info().currsize <= 49
 
 
-def test_cli_import_leaves_cone_modules_unloaded():
+def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
+    # The verdict commands, run in process after the import, load neither
+    # the region modules nor dataclasses.
+    src = tmp_path / "in.csv"
+    src.write_text("id,s1,s2,label\na,1,2,no\nb,-3,5/6,yes\nc,x,1,no\n")
+    runs = [["classify", "--", "-3", "5/6"],
+            ["batch", str(src), "--out", str(tmp_path / "out.csv")],
+            ["plot", "--bounds", "-2:2,1:2"],
+            ["plot", "--bounds", "-2:2,1:2", "--format", "svg"]]
     script = (
-        "import sys\n"
-        "import slope_atlas.cli\n"
-        "print(*sys.modules)\n"
+        "import contextlib, io, json, sys\n"
+        "import slope_atlas.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(*codes, *sys.modules)\n"
         "from slope_atlas.branched import carried_weight_cone\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                           capture_output=True, text=True, env=env, check=True)
-    loaded = set(proc.stdout.split())
-    assert "slope_atlas.whitehead" in loaded
-    assert "slope_atlas.branched" not in loaded
-    assert "slope_atlas.traintrack" not in loaded
+    words = proc.stdout.split()
+    assert words[:len(runs)] == ["0", "2", "0", "0"]
+    loaded = set(words[len(runs):])
+    assert {"slope_atlas.rational", "slope_atlas.whitehead"} <= loaded
+    for name in ("dataclasses", "slope_atlas.slopes", "slope_atlas.lspace",
+                 "slope_atlas.monodromy", "slope_atlas.branched",
+                 "slope_atlas.traintrack"):
+        assert name not in loaded
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from slope_atlas.monodromy import (
     Monodromy,
     OrientationAssignment,
     TrackTemplate,
+    WL_MONODROMY,
     coherent_orientations,
     foliation_region,
     intervals,
@@ -23,7 +24,7 @@ from slope_atlas.slopes import (ABOVE_MINUS_ONE_ARC, BELOW_ONE_ARC, INF,
                                 MAX_SLOPE_TOKEN, MINUS_ONE, NEGATIVE_ARC, ONE,
                                 POSITIVE_ARC, UNIT_ARC, ZERO, CircularArc,
                                 ExtRational, Region, region_union)
-from slope_atlas.whitehead import WL_MONODROMY, wl_foliation_region
+from slope_atlas.whitehead import wl_foliation_region
 
 PPLUS, PMINUS, N = BoundaryLabel.PPLUS, BoundaryLabel.PMINUS, BoundaryLabel.N
 N_IN, N_OUT = TrackTemplate.N_IN, TrackTemplate.N_OUT

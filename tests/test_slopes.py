@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slope_atlas import slopes
+from slope_atlas import rational
 from slope_atlas.slopes import (
     INF,
     MAX_SLOPE_TOKEN,
@@ -35,6 +35,7 @@ def test_normalize_frozen_examples():
     assert ExtRational(6, -4) == q(-3, 2)
     assert ExtRational(5, 0) == INF
     assert ExtRational(0, -7) == ZERO
+    assert ExtRational(1, 2) != (1, 2)
 
 
 def test_normalize_rejects_zero_over_zero():
@@ -100,7 +101,7 @@ def test_parse_and_format_round_trip():
 
 def test_parse_multislope_counts_before_parsing(monkeypatch):
     calls = []
-    monkeypatch.setattr(slopes, "parse_slope",
+    monkeypatch.setattr(rational, "parse_slope",
                         lambda text: calls.append(text))
     with pytest.raises(ValueError, match="expected 2 slopes, got 50000"):
         parse_multislope(",".join(["1"] * 50000), dim=2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from math import gcd
 
@@ -10,10 +12,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from slope_atlas import whitehead
+from slope_atlas.monodromy import WL_MONODROMY
 from slope_atlas.slopes import INF, ONE, ExtRational, parse_slope
 from slope_atlas.whitehead import (
     FIBER_PAIRING,
-    WL_MONODROMY,
     EulerBoundary,
     InconsistentVerdictError,
     Orderable,
@@ -91,6 +93,8 @@ def test_euler_data_rejects_bad_slopes():
         wl_euler_data(q(1), q(0))
     with pytest.raises(ValueError):
         EulerBoundary(a=-1, b=1, p=0, q=1)
+    with pytest.raises(ValueError):
+        EulerBoundary(a=-1, b=1, p=-2, q=1)
     with pytest.raises(ValueError):
         EulerBoundary(a=-1, b=1, p=1, q=0)
 
@@ -273,6 +277,36 @@ def test_verdict_is_frozen():
     with pytest.raises(Exception):
         v.lspace = NO
     assert isinstance(v, SurgeryVerdict)
+
+
+_VERDICT_REPR = (
+    "SurgeryVerdict(slope=(ExtRational(5/6), ExtRational(-3)), is_qhs=True, "
+    "homology=(5, 3), lspace=<Ternary.NO: 'no'>, taut_foliation=<Ternary.YES:"
+    " 'yes'>, euler_vanishing=<Ternary.YES: 'yes'>, left_orderable="
+    "<Orderable.YES: 'yes'>, citations=('foliation-below-one', "
+    "'euler-congruence', 'orderable-from-euler-vanishing', "
+    "'orderable-negative-integer-fiber'))")
+
+
+@pytest.mark.parametrize("make, fields, text", [
+    (lambda: ExtRational(num=3, den=-6), ("num", "den"), "ExtRational(-1/2)"),
+    (lambda: classify(q(5, 6), q(-3)),
+     ("slope", "is_qhs", "homology", "lspace", "taut_foliation",
+      "euler_vanishing", "left_orderable", "citations"), _VERDICT_REPR),
+    (lambda: EulerBoundary(a=-1, b=1, p=3, q=-1), ("a", "b", "p", "q"),
+     "EulerBoundary(a=-1, b=1, p=3, q=-1)"),
+], ids=["ExtRational", "SurgeryVerdict", "EulerBoundary"])
+def test_value_class_contract(make, fields, text):
+    v = make()
+    assert repr(v) == text
+    assert v == make() and not v != make()
+    assert hash(v) == hash(tuple(getattr(v, f) for f in fields))
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(v, f, getattr(v, f))
+    for clone in (pickle.loads(pickle.dumps(v)), copy.copy(v),
+                  copy.deepcopy(v)):
+        assert type(clone) is type(v) and clone == v and repr(clone) == text
 
 
 # ---------------------------------------------------------------------------
