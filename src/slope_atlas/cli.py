@@ -19,7 +19,6 @@ import os
 import re
 import stat
 import sys
-from fractions import Fraction
 
 from .rational import (INT_RE, SLOPE_RE, ExtRational, parse_int,
                        parse_slope, shown_token)
@@ -284,8 +283,7 @@ def grid_slopes(bounds, max_den=None):
             for q in range(qmin, qmax + 1) if p or q}
     if max_den is not None:
         seen = {s for s in seen if s.den <= max_den}
-    return sorted(seen, key=lambda s: (1,) if s.is_infinite()
-                  else (0, Fraction(s.num, s.den)))
+    return sorted(seen, key=lambda s: (s.is_infinite(), s))
 
 
 _PLOT_COLORS = {"lspace": "red", "foliation": "blue", "non-qhs": "gray"}
@@ -294,6 +292,7 @@ _PLOT_COLORS = {"lspace": "red", "foliation": "blue", "non-qhs": "gray"}
 def svg_coord(value, lo, hi, flip=False):
     """Deterministic canvas coordinate string for an axis value."""
     if hi == lo:
+        from fractions import Fraction
         frac = Fraction(1, 2)
     else:
         frac = (value - lo) / (hi - lo)
@@ -343,6 +342,7 @@ def cmd_plot(args):
                      for b, cls in zip(names, row))
         _emit("\n".join(lines) + "\n", args.out)
         return 0
+    from fractions import Fraction
     # Infinity sorts last, so the finite slopes are a prefix of the grid.
     finite = [Fraction(s.num, s.den) for s in slopes if s.is_finite()]
     if not finite:

@@ -4,11 +4,12 @@ A monodromy is a word tau_0^{a_0} tau_1^{a_1} ... tau_k^{a_k} in the twists
 along a fixed system of curves on the k-holed torus: a_0 twists along the
 closed curve, a_i != 0 along the i-th arc-parallel curve, indices cyclic
 (a_{k+1} = a_1).  Each boundary component gets a sign label from the
-adjacent pair of exponents, and the labels fix the two coherent orientations
-of the transfer arcs beta_i.  A taut foliation transverse to the fibration
-comes from a branched surface whose track on each boundary torus is one of
-the templates below; the template table is the only record of the slope arc
-each track realizes, and every foliation box is read from it.
+adjacent pair of exponents, and the same twist signs fix the two coherent
+orientations of the transfer arcs beta_i.  A taut foliation transverse to
+the fibration comes from a branched surface whose track on each boundary
+torus is one of the templates below; the template table is the only record
+of the slope arc each track realizes, and every foliation box and every
+witness is read from it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import enum
 from dataclasses import dataclass
 
 from .slopes import (ABOVE_MINUS_ONE_ARC, BELOW_ONE_ARC, NEGATIVE_ARC,
-                     POSITIVE_ARC, UNIT_ARC, Region, parse_int, shown_token)
+                     POSITIVE_ARC, UNIT_ARC, ExtRational, Region, parse_int,
+                     shown_token)
 
 
 class BoundaryLabel(enum.Enum):
@@ -61,6 +63,58 @@ _REALIZED = {
 def realized_interval(template):
     """The open arc of slopes realized by the template."""
     return _REALIZED[template]
+
+
+# The two annulus templates have a two-weight parametrization (x, y) with
+# slope x - y, so their witnesses are exact weight pairs; the other
+# templates are sourced from pictures only and their witnesses are
+# membership certificates.
+_PARAMETRIC = (TrackTemplate.A0_POSITIVE, TrackTemplate.A0_NEGATIVE)
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Evidence that a slope is realized by a track template.
+
+    Parametric witnesses carry the weight pair (x, y) with x - y equal to
+    the slope; certificate witnesses carry only the slope and the realized
+    arc it was checked against.
+    """
+
+    template: TrackTemplate
+    slope: ExtRational
+    parametric: bool
+    x: ExtRational | None = None
+    y: ExtRational | None = None
+
+    @property
+    def arc(self):
+        return realized_interval(self.template)
+
+
+def witness(template, slope):
+    """A witness that the slope lies in the template's realized interval.
+
+    Raises ValueError when the slope is not realized.  For the two annulus
+    templates the weights are x = (max(0, s) + 1)/2 and y = x - s (or the
+    mirror assignment), which meet the positivity constraints exactly when
+    the slope is realized; with s = n/d they are integers over 2d.
+    """
+    arc = realized_interval(template)
+    if not arc.contains(slope):
+        raise ValueError(f"slope {slope} is not realized by {template}: "
+                         f"the realized interval is {arc}")
+    if template not in _PARAMETRIC:
+        return Witness(template, slope, parametric=False)
+    n, d = slope.num, slope.den  # finite: neither annulus arc holds inf
+    if template is TrackTemplate.A0_POSITIVE:
+        x = max(n, 0) + d
+        y = x - 2 * n
+    else:
+        y = max(-n, 0) + d
+        x = y + 2 * n
+    return Witness(template, slope, parametric=True,
+                   x=ExtRational(x, 2 * d), y=ExtRational(y, 2 * d))
 
 
 @dataclass(frozen=True)
@@ -128,24 +182,20 @@ def labels(m):
     return tuple(out)
 
 
-_P_TEMPLATES = {BoundaryLabel.PPLUS: TrackTemplate.PPLUS,
-                BoundaryLabel.PMINUS: TrackTemplate.PMINUS}
-
-
 def intervals(m):
     """The two multislope interval tuples (I, J) realized at the boundary.
 
-    Boundary i carries the template of its p+ or p- label, or, when it is
-    n-labeled, the template the orientation gives it; I is read off the
-    first coherent orientation and J off the second.
+    Boundary i carries the template of its p+ or p- label, which is the sign
+    of a_i, or, when it is n-labeled, the template the orientation gives it;
+    I is read off the first coherent orientation and J off the second.
     """
-    labs = labels(m)
     out = []
     for o in coherent_orientations(m):
         n_types = dict(o.n_types)
         out.append(tuple(
-            realized_interval(n_types.get(i) or _P_TEMPLATES[lab])
-            for i, lab in enumerate(labs, start=1)))
+            realized_interval(n_types.get(i) or (
+                TrackTemplate.PPLUS if a > 0 else TrackTemplate.PMINUS))
+            for i, a in enumerate(m.twists, start=1)))
     return tuple(out)
 
 
@@ -195,47 +245,28 @@ class OrientationAssignment:
 
 
 def coherent_orientations(m):
-    """The two coherent orientations, built inductively from beta_1.
+    """The two coherent orientations, read off the twist signs.
 
     Boundary i is met by beta_i and beta_{i+1}; they keep the same direction
-    across a p+ or p- boundary and flip across an n boundary.  The two
+    across a p+ or p- boundary and flip across an n boundary, so beta_i and
+    beta_1 share a direction exactly when a_i and a_1 share a sign.  The
+    n boundaries are those where a_i and a_{i+1} differ in sign.  The two
     results are componentwise reversals of each other.
     """
-    labs = labels(m)
-    k = m.k
-    out = []
-    for first in (False, True):
-        dirs = [first]
-        for i in range(k - 1):
-            flip = labs[i] is BoundaryLabel.N
-            dirs.append(dirs[-1] != flip)
-        n_types = []
-        for i in range(k):
-            if labs[i] is BoundaryLabel.N:
-                # beta_i starts at boundary i exactly when its bit is True.
-                n_types.append((i + 1, _n_template(dirs[i])))
-        out.append(OrientationAssignment(tuple(dirs), tuple(n_types)))
-    return tuple(out)
+    pos = [a > 0 for a in m.twists]
+    dirs = tuple(p != pos[0] for p in pos)
+    # beta_i starts at boundary i exactly when its bit is True.
+    n_types = tuple((i, _n_template(d)) for i, (d, p, nxt)
+                    in enumerate(zip(dirs, pos, pos[1:] + pos[:1]), start=1)
+                    if p != nxt)
+    first = OrientationAssignment(dirs, n_types)
+    return first, first.reversed()
 
 
 def is_coherent(m, o):
-    """Whether an orientation assignment satisfies the coherence relations:
+    """Whether an orientation assignment is one of the two coherent ones:
     equal bits across p-labeled boundaries, flipped bits across n-labeled
-    ones, with matching n types."""
-    labs = labels(m)
-    k = m.k
-    if len(o.directions) != k:
-        return False
-    for i in range(k):
-        same = o.directions[i] == o.directions[(i + 1) % k]
-        if labs[i] is BoundaryLabel.N:
-            if same:
-                return False
-        else:
-            if not same:
-                return False
-    expected = {}
-    for i in range(k):
-        if labs[i] is BoundaryLabel.N:
-            expected[i + 1] = _n_template(o.directions[i])
-    return dict(o.n_types) == expected
+    ones, with matching n types in any order."""
+    dirs = tuple(o.directions)
+    return any(dirs == c.directions and dict(o.n_types) == dict(c.n_types)
+               for c in coherent_orientations(m))

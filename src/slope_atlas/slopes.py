@@ -251,9 +251,6 @@ class Region:
             pieces.append(" x ".join(coords))
         return pieces
 
-    def __str__(self):
-        return "  u  ".join(self.pieces()) or "(empty)"
-
 
 def region_union(a, b):
     """Set union; concatenates and deduplicates the two representations."""

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -124,6 +126,28 @@ def test_monodromy_rejects_non_ascii_and_long_exponents(capsys):
     assert captured.out == "" and "exponent ' \u0663'" in captured.err
     assert run_cli("monodromy", "1; " + "7" * 5000) == 2
     assert len(capsys.readouterr().err) < 2 * MAX_SLOPE_TOKEN
+
+
+def test_monodromy_time_linear_in_k(capsys):
+    # k has no cap: the report costs time linear in k, so doubling k must
+    # not triple the best of five runs.  The two sizes take turns, so a
+    # slow spell on the machine slows both, and as in timeit the collector
+    # is off while a run is timed, so a full collection of the test
+    # process's heap is not charged to the word.
+    words = {k: "1; " + ", ".join(["3", "-2", "5", "-1"] * (k // 4))
+             for k in (4000, 8000)}
+    best = dict.fromkeys(words, float("inf"))
+    for _ in range(5):
+        for k, word in words.items():
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                assert run_cli("monodromy", word) == 0
+                best[k] = min(best[k], time.perf_counter() - start)
+            finally:
+                gc.enable()
+            capsys.readouterr()
+    assert best[8000] / best[4000] < 3, best
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +557,9 @@ def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys):
     assert cli._batch_cells.cache_info().currsize <= 49
 
 
-def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
-    # The verdict commands, run in process after the import, load neither
-    # the region modules nor dataclasses.
-    src = tmp_path / "in.csv"
-    src.write_text("id,s1,s2,label\na,1,2,no\nb,-3,5/6,yes\nc,x,1,no\n")
-    runs = [["classify", "--", "-3", "5/6"],
-            ["batch", str(src), "--out", str(tmp_path / "out.csv")],
-            ["plot", "--bounds", "-2:2,1:2"],
-            ["plot", "--bounds", "-2:2,1:2", "--format", "svg"]]
+def _loaded_after(runs):
+    """Exit codes of ``cli.main`` on each argv in ``runs``, run in process
+    after a fresh import, and the modules loaded by then."""
     script = (
         "import contextlib, io, json, sys\n"
         "import slope_atlas.cli as cli\n"
@@ -555,12 +573,31 @@ def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
                           capture_output=True, text=True, env=env, check=True)
     words = proc.stdout.split()
-    assert words[:len(runs)] == ["0", "2", "0", "0"]
-    loaded = set(words[len(runs):])
+    return words[:len(runs)], set(words[len(runs):])
+
+
+_REGION_MODULES = ("dataclasses", "slope_atlas.slopes", "slope_atlas.lspace",
+                   "slope_atlas.monodromy", "slope_atlas.branched")
+
+
+def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
+    # The verdict commands, run in process after the import, load neither
+    # the region modules nor dataclasses, and apart from the SVG plot
+    # neither fractions nor decimal.
+    src = tmp_path / "in.csv"
+    src.write_text("id,s1,s2,label\na,1,2,no\nb,-3,5/6,yes\nc,x,1,no\n")
+    codes, loaded = _loaded_after(
+        [["classify", "--", "-3", "5/6"],
+         ["batch", str(src), "--out", str(tmp_path / "out.csv")],
+         ["plot", "--bounds", "-2:2,1:2"]])
+    assert codes == ["0", "2", "0"]
     assert {"slope_atlas.rational", "slope_atlas.whitehead"} <= loaded
-    for name in ("dataclasses", "slope_atlas.slopes", "slope_atlas.lspace",
-                 "slope_atlas.monodromy", "slope_atlas.branched",
-                 "slope_atlas.traintrack"):
+    for name in _REGION_MODULES + ("fractions", "decimal"):
+        assert name not in loaded
+    codes, loaded = _loaded_after(
+        [["plot", "--bounds", "-2:2,1:2", "--format", "svg"]])
+    assert codes == ["0"]
+    for name in _REGION_MODULES:
         assert name not in loaded
 
 

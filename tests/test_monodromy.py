@@ -364,3 +364,90 @@ def test_is_coherent_rejects_wrong_assignments():
                     for i, t in good.n_types)
     assert not is_coherent(m, OrientationAssignment(good.directions, swapped))
     assert not is_coherent(m, OrientationAssignment((False, False), good.n_types))
+
+
+# ---------------------------------------------------------------------------
+# Reference: the orientations as they were built before they were read off
+# the twist signs, by flipping the bit of beta_1 across each n boundary.
+# ---------------------------------------------------------------------------
+
+def _n_template(starts):
+    return N_OUT if starts else N_IN
+
+
+def _inductive_orientations(m):
+    labs = labels(m)
+    k = m.k
+    out = []
+    for first in (False, True):
+        dirs = [first]
+        for i in range(k - 1):
+            dirs.append(dirs[-1] != (labs[i] is N))
+        n_types = tuple((i + 1, _n_template(dirs[i]))
+                        for i in range(k) if labs[i] is N)
+        out.append(OrientationAssignment(tuple(dirs), n_types))
+    return tuple(out)
+
+
+def _inductive_is_coherent(m, o):
+    labs = labels(m)
+    k = m.k
+    if len(o.directions) != k:
+        return False
+    for i in range(k):
+        same = o.directions[i] == o.directions[(i + 1) % k]
+        if (labs[i] is N) == same:
+            return False
+    expected = {i + 1: _n_template(o.directions[i])
+                for i in range(k) if labs[i] is N}
+    return dict(o.n_types) == expected
+
+
+def _boundary_data(m):
+    return (labels(m), coherent_orientations(m), intervals(m),
+            foliation_region(m))
+
+
+def test_sign_vector_sweep_matches_references():
+    # The boundary data read a word only through sign(a_0) and the signs of
+    # the twists, so the sweep over every sign vector covers every word
+    # with k <= 10; scaled magnitudes must leave all four outputs alone.
+    rng = random.Random(25)
+    words = 0
+    for k in range(1, 11):
+        for signs in itertools.product((-1, 1), repeat=k):
+            for a0 in (-1, 0, 1):
+                m = Monodromy(a0, signs)
+                data = _boundary_data(m)
+                labs, orientations, i_j, region = data
+                assert labs.count(N) % 2 == 0, m
+                assert orientations == _inductive_orientations(m), m
+                assert i_j == _alternating_intervals(m), m
+                assert region == Region(k, _literal_foliation_boxes(m)), m
+                scaled = Monodromy(a0 * rng.randint(1, 9), tuple(
+                    a * rng.randint(1, 9) for a in signs))
+                assert _boundary_data(scaled) == data, scaled
+                words += 1
+    assert words == 6138
+
+
+def test_is_coherent_truth_table_matches_reference():
+    # At the right length: every bit vector and every assignment of no
+    # type, N_IN or N_OUT to each boundary, listed in both orders.  At a
+    # wrong length: every bit vector with either coherent set of n types.
+    for k in range(1, 5):
+        for signs in itertools.product((-1, 1), repeat=k):
+            m = Monodromy(0, signs)
+            cases = []
+            for types in itertools.product((None, N_IN, N_OUT), repeat=k):
+                n_types = tuple((i, t) for i, t in
+                                enumerate(types, start=1) if t)
+                cases += [(k, n_types), (k, n_types[::-1])]
+            for o in coherent_orientations(m):
+                for length in (k - 1, k + 1):
+                    cases += [(length, o.n_types), (length, o.n_types[::-1])]
+            for length, n_types in cases:
+                for bits in itertools.product((False, True), repeat=length):
+                    o = OrientationAssignment(bits, n_types)
+                    assert (is_coherent(m, o)
+                            == _inductive_is_coherent(m, o)), (m, o)

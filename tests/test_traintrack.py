@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from slope_atlas.slopes import INF, ExtRational
-from slope_atlas.traintrack import TrackTemplate, Witness, realized_interval, witness
+from slope_atlas.monodromy import TrackTemplate, Witness, realized_interval, witness
 
 
 def q(num, den=1):
