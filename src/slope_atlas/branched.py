@@ -25,10 +25,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 from .monodromy import coherent_orientations, is_coherent
+from .rational import Record
 
 
 class SectorKind(enum.Enum):
@@ -39,41 +38,35 @@ class SectorKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Sector:
-    id: str
-    kind: SectorKind
-    meets_boundary: bool
+class Sector(Record):
+    __slots__ = _fields = ("id", "kind", "meets_boundary")
 
-    def __post_init__(self):
-        if self.kind is SectorKind.HALF_DISC and not self.meets_boundary:
-            raise ValueError(f"half-disc sector {self.id} must meet the "
-                             "boundary")
+    def __init__(self, id, kind, meets_boundary):
+        if kind is SectorKind.HALF_DISC and not meets_boundary:
+            raise ValueError(f"half-disc sector {id} must meet the boundary")
+        self._init(id, kind, meets_boundary)
 
 
-@dataclass(frozen=True)
-class BranchArc:
+class BranchArc(Record):
     """A switch arc: the cusp points into ``big``; the equation is
     weight(big) = weight(small_a) + weight(small_b)."""
 
-    id: str
-    big: str
-    small_a: str
-    small_b: str
+    __slots__ = _fields = ("id", "big", "small_a", "small_b")
+
+    def __init__(self, id, big, small_a, small_b):
+        self._init(id, big, small_a, small_b)
 
 
-@dataclass(frozen=True)
-class BranchComplex:
-    sectors: tuple
-    arcs: tuple
+class BranchComplex(Record):
+    __slots__ = _fields = ("sectors", "arcs")
 
-    def __post_init__(self):
-        ids = [s.id for s in self.sectors]
+    def __init__(self, sectors, arcs):
+        ids = [s.id for s in sectors]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate sector ids")
         known = set(ids)
         arc_ids = set()
-        for a in self.arcs:
+        for a in arcs:
             if a.id in arc_ids:
                 raise ValueError(f"duplicate arc id {a.id}")
             arc_ids.add(a.id)
@@ -81,6 +74,7 @@ class BranchComplex:
                 if ref not in known:
                     raise ValueError(f"arc {a.id} references unknown "
                                      f"sector {ref}")
+        self._init(sectors, arcs)
 
     def sector_ids(self):
         return tuple(s.id for s in self.sectors)
@@ -185,6 +179,11 @@ def build_coherent_arc_complex(m, o, sources=None):
     if not is_coherent(m, o):
         raise ValueError("orientation is not a coherent orientation of the "
                          "given monodromy")
+    return _coherent_arc_complex(m, o, sources)
+
+
+def _coherent_arc_complex(m, o, sources):
+    """`build_coherent_arc_complex` for an orientation known coherent."""
     k = m.k
     n = sum(abs(a) for a in m.twists)
     if sources is None:
@@ -236,21 +235,33 @@ def isolated_sectors(c):
     return tuple(s.id for s in c.sectors if s.id not in incident)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Nonnegative integer weights per sector id, satisfying the switches."""
+class WeightSystem(Record):
+    """Nonnegative integer weights per sector id, satisfying the switches.
 
-    weights: tuple   # ((sector_id, weight), ...) in complex sector order
+    ``weights`` is ((sector_id, weight), ...) in complex sector order; the
+    lookup table behind ``ws[sector_id]`` is built on first use.
+    """
+
+    __slots__ = ("weights", "_table")
+    _fields = ("weights",)
+
+    def __init__(self, weights):
+        _set_weights(self, weights)
 
     def as_dict(self):
         return dict(self.weights)
 
-    @cached_property
-    def _table(self):
-        return dict(self.weights)
-
     def __getitem__(self, sector_id):
-        return self._table[sector_id]
+        try:
+            table = self._table
+        except AttributeError:
+            table = dict(self.weights)
+            object.__setattr__(self, "_table", table)
+        return table[sector_id]
+
+
+# The slot setter, which bypasses the refusing __setattr__.
+_set_weights = WeightSystem.weights.__set__
 
 
 def check_weights(c, weights):
@@ -377,7 +388,6 @@ def complexes_for(m, parallel_sources=None, coherent_sources=None):
     if m.a0 != 0:
         out["parallel"] = build_parallel_arc_complex(m, parallel_sources)
     o1, o2 = coherent_orientations(m)
-    out["coherent"] = build_coherent_arc_complex(m, o1, coherent_sources)
-    out["coherent_reversed"] = build_coherent_arc_complex(m, o2,
-                                                          coherent_sources)
+    out["coherent"] = _coherent_arc_complex(m, o1, coherent_sources)
+    out["coherent_reversed"] = _coherent_arc_complex(m, o2, coherent_sources)
     return out

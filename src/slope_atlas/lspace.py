@@ -11,14 +11,12 @@ closed-form box plus the two infinity lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .rational import Record
 from .slopes import (INF, ONE, ZERO, CircularArc, ExtRational, Region,
                      parse_int, shown_token)
 
 
-@dataclass(frozen=True)
-class TorsionProfile:
+class TorsionProfile(Record):
     """Support table of a torsion series over Z + Z_p.
 
     ``support`` flags the classes (n, t) with 0 <= n <= threshold that lie in
@@ -27,23 +25,22 @@ class TorsionProfile:
     series is normalized with nonzero constant term).
     """
 
-    torsion_order: int
-    threshold: int
-    support: frozenset = field(default_factory=frozenset)
+    __slots__ = _fields = ("torsion_order", "threshold", "support")
 
-    def __post_init__(self):
-        p, c = self.torsion_order, self.threshold
+    def __init__(self, torsion_order, threshold, support=frozenset()):
+        p, c = torsion_order, threshold
         if p < 1:
             raise ValueError(f"torsion order must be >= 1, got {p}")
         if c < 0:
             raise ValueError(f"threshold must be >= 0, got {c}")
-        object.__setattr__(self, "support", frozenset(self.support))
-        for (n, t) in self.support:
+        support = frozenset(support)
+        for (n, t) in support:
             if not (0 <= n <= c and 0 <= t < p):
                 raise ValueError(f"support class {(n, t)} outside the "
                                  f"table range (n in [0,{c}], t in [0,{p}))")
-        if not any(n == 0 for (n, t) in self.support):
+        if not any(n == 0 for (n, t) in support):
             raise ValueError("no class with n = 0 in the support")
+        self._init(p, c, support)
 
     def in_support(self, n, t):
         if n < 0:
@@ -158,8 +155,7 @@ class AllButLongitude:
 ALL_BUT_LONGITUDE = AllButLongitude()
 
 
-@dataclass(frozen=True)
-class IntervalCandidates:
+class IntervalCandidates(Record):
     """The possible L-space interval forms for one boundary component.
 
     Either everything but the longitude (``n_h is None``), or the two
@@ -167,11 +163,12 @@ class IntervalCandidates:
     right requires one known L-space slope, see ``select_interval``.
     """
 
-    n_h: int | None
+    __slots__ = _fields = ("n_h",)
 
-    def __post_init__(self):
-        if self.n_h is not None and self.n_h < 1:
-            raise ValueError(f"interval bound must be >= 1, got {self.n_h}")
+    def __init__(self, n_h):
+        if n_h is not None and n_h < 1:
+            raise ValueError(f"interval bound must be >= 1, got {n_h}")
+        self._init(n_h)
 
     def is_all_but_longitude(self):
         return self.n_h is None

@@ -15,8 +15,8 @@ witness is read from it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from .rational import Record
 from .slopes import (ABOVE_MINUS_ONE_ARC, BELOW_ONE_ARC, NEGATIVE_ARC,
                      POSITIVE_ARC, UNIT_ARC, ExtRational, Region, parse_int,
                      shown_token)
@@ -72,8 +72,7 @@ def realized_interval(template):
 _PARAMETRIC = (TrackTemplate.A0_POSITIVE, TrackTemplate.A0_NEGATIVE)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Evidence that a slope is realized by a track template.
 
     Parametric witnesses carry the weight pair (x, y) with x - y equal to
@@ -81,11 +80,10 @@ class Witness:
     arc it was checked against.
     """
 
-    template: TrackTemplate
-    slope: ExtRational
-    parametric: bool
-    x: ExtRational | None = None
-    y: ExtRational | None = None
+    __slots__ = _fields = ("template", "slope", "parametric", "x", "y")
+
+    def __init__(self, template, slope, parametric, x=None, y=None):
+        self._init(template, slope, parametric, x, y)
 
     @property
     def arc(self):
@@ -117,23 +115,21 @@ def witness(template, slope):
                    x=ExtRational(x, 2 * d), y=ExtRational(y, 2 * d))
 
 
-@dataclass(frozen=True)
-class Monodromy:
+class Monodromy(Record):
     """Exponent data (a_0; a_1, ..., a_k) with a_i != 0 for i >= 1."""
 
-    a0: int
-    twists: tuple
+    __slots__ = _fields = ("a0", "twists")
 
-    def __post_init__(self):
-        twists = tuple(self.twists)
-        object.__setattr__(self, "twists", twists)
+    def __init__(self, a0, twists):
+        twists = tuple(twists)
         if not twists:
             raise ValueError("need at least one boundary twist exponent")
-        if any(type(a) is not int for a in (self.a0, *twists)):
+        if any(type(a) is not int for a in (a0, *twists)):
             raise ValueError("exponents must be integers")
         if any(a == 0 for a in twists):
             raise ValueError("boundary twist exponents must be nonzero, "
                              f"got {shown_token(str(twists))}")
+        self._init(a0, twists)
 
     @property
     def k(self):
@@ -223,8 +219,7 @@ def _n_template(starts):
     return TrackTemplate.N_OUT if starts else TrackTemplate.N_IN
 
 
-@dataclass(frozen=True)
-class OrientationAssignment:
+class OrientationAssignment(Record):
     """A coherent orientation of the transfer arcs beta_1..beta_k.
 
     ``directions[i]`` is the bit of beta_{i+1}: False means the arc runs
@@ -234,8 +229,10 @@ class OrientationAssignment:
     N_IN when both end there.
     """
 
-    directions: tuple
-    n_types: tuple
+    __slots__ = _fields = ("directions", "n_types")
+
+    def __init__(self, directions, n_types):
+        self._init(directions, n_types)
 
     def reversed(self):
         flipped = tuple(not d for d in self.directions)

@@ -11,7 +11,50 @@ import math
 import re
 
 
-class ExtRational:
+class Record:
+    """Base of the immutable value classes.
+
+    ``_fields`` names the slots that make up the value: equality (with an
+    instance of the same class only), hashing, the repr and pickling read
+    them, and a subclass's ``__init__`` sets them through ``_init``.
+    Assigning to or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slots through the
+        # refusing __setattr__.
+        return self.__class__, self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
+
+
+class ExtRational(Record):
     """A slope p/q in lowest terms with q >= 0, where 1/0 is infinity.
 
     The constructor normalizes, so equal slopes have identical field values
@@ -19,7 +62,7 @@ class ExtRational:
     are immutable: assigning to a field raises AttributeError.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = _fields = ("num", "den")
 
     def __init__(self, num, den=1):
         # type(), not isinstance(): bool is a subclass of int.
@@ -40,17 +83,6 @@ class ExtRational:
                     den //= g
         _set_num(self, num)
         _set_den(self, den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # pickle and copy would otherwise restore the slots through the
-        # refusing __setattr__.
-        return ExtRational, (self.num, self.den)
 
     def __eq__(self, other):
         if other.__class__ is not ExtRational:

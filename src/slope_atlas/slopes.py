@@ -10,15 +10,13 @@ grammar are defined in `rational` and re-exported here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .rational import (INF, INT_RE, MAX_SLOPE_TOKEN, MINUS_ONE, ONE, SLOPE_RE,
-                       ZERO, ExtRational, format_multislope, parse_int,
+                       ZERO, ExtRational, Record, format_multislope, parse_int,
                        parse_multislope, parse_slope, shown_token)
 
 
-@dataclass(frozen=True)
-class CircularArc:
+class CircularArc(Record):
     """An arc of the slope circle, given by endpoints and closure flags.
 
     The interior is read in the cyclic order of the circle:
@@ -34,15 +32,13 @@ class CircularArc:
     endpoint when both are closed; mixed flags are rejected.
     """
 
-    start: ExtRational
-    end: ExtRational
-    start_closed: bool = False
-    end_closed: bool = False
+    __slots__ = _fields = ("start", "end", "start_closed", "end_closed")
 
-    def __post_init__(self):
-        if self.start == self.end and self.start_closed != self.end_closed:
+    def __init__(self, start, end, start_closed=False, end_closed=False):
+        if start == end and start_closed != end_closed:
             raise ValueError("degenerate arc must have both flags open (empty)"
                              " or both closed (single point)")
+        self._init(start, end, start_closed, end_closed)
 
     def is_empty(self):
         return self.start == self.end and not self.start_closed
@@ -202,8 +198,7 @@ def arc_intersect(a, b):
     return _reassemble(parts, inf_a and inf_b)
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """A finite union of arc-product boxes and infinity lines in (Q u inf)^k.
 
     A box is a k-tuple of arcs (membership componentwise).  A line is a
@@ -212,18 +207,17 @@ class Region:
     representation is not minimal; only the membership predicate matters.
     """
 
-    dim: int
-    boxes: tuple = ()
-    lines: tuple = ()
+    __slots__ = _fields = ("dim", "boxes", "lines")
 
-    def __post_init__(self):
-        for box in self.boxes:
-            if len(box) != self.dim:
+    def __init__(self, dim, boxes=(), lines=()):
+        for box in boxes:
+            if len(box) != dim:
                 raise ValueError(f"box of arity {len(box)} in a "
-                                 f"{self.dim}-dimensional region")
-        for i in self.lines:
-            if not (0 <= i < self.dim):
+                                 f"{dim}-dimensional region")
+        for i in lines:
+            if not (0 <= i < dim):
                 raise ValueError(f"line index {i} out of range")
+        self._init(dim, boxes, lines)
 
     def is_empty_representation(self):
         return not self.boxes and not self.lines

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import pickle
 import random
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from slope_atlas import branched, monodromy
 from slope_atlas.branched import (
     BranchArc,
     BranchComplex,
@@ -258,6 +260,38 @@ def test_complexes_for_collects_all():
     assert set(got) == {"parallel", "coherent", "coherent_reversed"}
     assert set(complexes_for(Monodromy(0, (1, -1)))) == {
         "coherent", "coherent_reversed"}
+
+
+def test_complexes_for_builds_the_orientations_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return coherent_orientations(m)
+
+    # is_coherent looks the function up in monodromy, complexes_for in
+    # branched; count both.
+    monkeypatch.setattr(monodromy, "coherent_orientations", counted)
+    monkeypatch.setattr(branched, "coherent_orientations", counted)
+    m = Monodromy(1, (5, 10, -5))
+    got = complexes_for(m)
+    assert len(calls) == 1
+    first, second = coherent_orientations(m)
+    assert got["coherent"] == build_coherent_arc_complex(m, first)
+    assert got["coherent_reversed"] == build_coherent_arc_complex(m, second)
+    assert len(calls) == 3   # the public builder still checks its input
+
+
+def test_weight_system_table_filled_on_first_lookup():
+    ws = WeightSystem((("D1", 0), ("S1", 2)))
+    before = (hash(ws), repr(ws))
+    assert ws["S1"] == 2 and ws["D1"] == 0
+    with pytest.raises(KeyError):
+        ws["S2"]
+    # The filled table is not part of the value.
+    assert (hash(ws), repr(ws)) == before
+    clone = pickle.loads(pickle.dumps(ws))
+    assert clone == ws and clone["S1"] == 2
 
 
 # ---------------------------------------------------------------------------

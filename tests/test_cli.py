@@ -557,17 +557,17 @@ def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys):
     assert cli._batch_cells.cache_info().currsize <= 49
 
 
-def _loaded_after(runs):
+def _loaded_after(runs, then=""):
     """Exit codes of ``cli.main`` on each argv in ``runs``, run in process
-    after a fresh import, and the modules loaded by then."""
+    after a fresh import, and the modules loaded once the statements in
+    ``then`` have run too."""
     script = (
         "import contextlib, io, json, sys\n"
         "import slope_atlas.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), \\\n"
         "        contextlib.redirect_stderr(io.StringIO()):\n"
         "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(*codes, *sys.modules)\n"
-        "from slope_atlas.branched import carried_weight_cone\n")
+        + then + "print(*codes, *sys.modules)\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
@@ -599,6 +599,19 @@ def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
     assert codes == ["0"]
     for name in _REGION_MODULES:
         assert name not in loaded
+
+
+def test_region_commands_and_cone_search_leave_dataclasses_unloaded():
+    codes, loaded = _loaded_after(
+        [["monodromy", "1; 5, 10, -5"], ["region", "--json"]],
+        then="from slope_atlas import branched, monodromy\n"
+             "m = monodromy.Monodromy(1, (1, -1))\n"
+             "c = branched.complexes_for(m)['parallel']\n"
+             "assert len(branched.carried_weight_cone(c, 2)) == 3\n")
+    assert codes == ["0", "0"]
+    assert {"slope_atlas.lspace", "slope_atlas.monodromy",
+            "slope_atlas.branched"} <= loaded
+    assert "dataclasses" not in loaded
 
 
 # ---------------------------------------------------------------------------

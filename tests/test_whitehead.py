@@ -12,8 +12,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from slope_atlas import whitehead
-from slope_atlas.monodromy import WL_MONODROMY
-from slope_atlas.slopes import INF, ONE, ExtRational, parse_slope
+from slope_atlas.branched import (BranchArc, BranchComplex, Sector, SectorKind,
+                                  WeightSystem)
+from slope_atlas.lspace import IntervalCandidates, TorsionProfile
+from slope_atlas.monodromy import (WL_MONODROMY, Monodromy, TrackTemplate,
+                                   coherent_orientations, witness)
+from slope_atlas.slopes import (INF, ONE, POSITIVE_ARC, CircularArc,
+                                ExtRational, Region, parse_slope)
 from slope_atlas.whitehead import (
     FIBER_PAIRING,
     EulerBoundary,
@@ -288,6 +293,60 @@ _VERDICT_REPR = (
     "'orderable-negative-integer-fiber'))")
 
 
+_SECTOR_D1 = ("Sector(id='D1', kind=<SectorKind.HALF_DISC: 'half_disc'>, "
+              "meets_boundary=True)")
+_ARC_TEXT = ("CircularArc(start=ExtRational(0), end=ExtRational(inf), "
+             "start_closed=False, end_closed=False)")
+
+# The `rational.Record` classes.
+_RECORD_CASES = [
+    pytest.param(lambda: CircularArc(ONE, INF, True),
+                 ("start", "end", "start_closed", "end_closed"),
+                 "CircularArc(start=ExtRational(1), end=ExtRational(inf), "
+                 "start_closed=True, end_closed=False)", id="CircularArc"),
+    pytest.param(lambda: Region(1, ((POSITIVE_ARC,),), (0,)),
+                 ("dim", "boxes", "lines"),
+                 f"Region(dim=1, boxes=(({_ARC_TEXT},),), lines=(0,))",
+                 id="Region"),
+    pytest.param(lambda: TorsionProfile(1, 0, [(0, 0)]),
+                 ("torsion_order", "threshold", "support"),
+                 "TorsionProfile(torsion_order=1, threshold=0, "
+                 "support=frozenset({(0, 0)}))", id="TorsionProfile"),
+    pytest.param(lambda: IntervalCandidates(4), ("n_h",),
+                 "IntervalCandidates(n_h=4)", id="IntervalCandidates"),
+    pytest.param(lambda: Monodromy(1, [1, -1]), ("a0", "twists"),
+                 "Monodromy(a0=1, twists=(1, -1))", id="Monodromy"),
+    pytest.param(lambda: coherent_orientations(WL_MONODROMY)[0],
+                 ("directions", "n_types"),
+                 "OrientationAssignment(directions=(False, True), n_types=("
+                 "(1, <TrackTemplate.N_IN: 'n_in'>), "
+                 "(2, <TrackTemplate.N_OUT: 'n_out'>)))",
+                 id="OrientationAssignment"),
+    pytest.param(lambda: witness(TrackTemplate.A0_POSITIVE, q(-3, 2)),
+                 ("template", "slope", "parametric", "x", "y"),
+                 "Witness(template=<TrackTemplate.A0_POSITIVE: 'a0_positive'>,"
+                 " slope=ExtRational(-3/2), parametric=True, "
+                 "x=ExtRational(1/2), y=ExtRational(2))", id="Witness"),
+    pytest.param(lambda: Sector("D1", SectorKind.HALF_DISC, True),
+                 ("id", "kind", "meets_boundary"), _SECTOR_D1, id="Sector"),
+    pytest.param(lambda: BranchArc("C1", big="S1", small_a="S1",
+                                   small_b="D1"),
+                 ("id", "big", "small_a", "small_b"),
+                 "BranchArc(id='C1', big='S1', small_a='S1', small_b='D1')",
+                 id="BranchArc"),
+    pytest.param(lambda: BranchComplex(
+                     (Sector("D1", SectorKind.HALF_DISC, True),),
+                     (BranchArc("C1", "D1", "D1", "D1"),)),
+                 ("sectors", "arcs"),
+                 f"BranchComplex(sectors=({_SECTOR_D1},), arcs=(BranchArc("
+                 "id='C1', big='D1', small_a='D1', small_b='D1'),))",
+                 id="BranchComplex"),
+    pytest.param(lambda: WeightSystem((("D1", 0), ("S1", 2))), ("weights",),
+                 "WeightSystem(weights=(('D1', 0), ('S1', 2)))",
+                 id="WeightSystem"),
+]
+
+
 @pytest.mark.parametrize("make, fields, text", [
     (lambda: ExtRational(num=3, den=-6), ("num", "den"), "ExtRational(-1/2)"),
     (lambda: classify(q(5, 6), q(-3)),
@@ -295,12 +354,18 @@ _VERDICT_REPR = (
       "euler_vanishing", "left_orderable", "citations"), _VERDICT_REPR),
     (lambda: EulerBoundary(a=-1, b=1, p=3, q=-1), ("a", "b", "p", "q"),
      "EulerBoundary(a=-1, b=1, p=3, q=-1)"),
-], ids=["ExtRational", "SurgeryVerdict", "EulerBoundary"])
+    *_RECORD_CASES,
+], ids=["ExtRational", "SurgeryVerdict", "EulerBoundary",
+        *(case.id for case in _RECORD_CASES)])
 def test_value_class_contract(make, fields, text):
     v = make()
+    values = tuple(getattr(v, f) for f in fields)
     assert repr(v) == text
     assert v == make() and not v != make()
-    assert hash(v) == hash(tuple(getattr(v, f) for f in fields))
+    assert hash(v) == hash(values)
+    # Only a namedtuple equals its field tuple; a slots class never does,
+    # so a set or region_union's dedup never merges it with a tuple.
+    assert (v == values) is (values == v) is isinstance(v, tuple)
     for f in fields:
         with pytest.raises(AttributeError):
             setattr(v, f, getattr(v, f))
