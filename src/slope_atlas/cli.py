@@ -229,7 +229,11 @@ def cmd_batch(args):
         with _atomic_out(args.out, newline="") as out:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(header)
-            for lineno, row in enumerate(rows, start=2):
+            # A quoted field may span lines, so each record is numbered by
+            # the first physical line after the previous record.
+            end = rows.line_num
+            for row in rows:
+                lineno, end = end + 1, rows.line_num
                 if not row:
                     continue
                 try:
@@ -301,20 +305,24 @@ def svg_coord(value, lo, hi, flip=False):
     return f"{float(40 + frac * 560):.2f}"
 
 
-def _svg_scatter(values, rows):
-    """SVG scatter with ``rows[i][j]`` drawn at (values[i], values[j])."""
+def _svg_scatter(values, facts, rows):
+    """SVG scatter with ``rows[facts[i]][j]`` drawn at (values[i],
+    values[j]); a row may run past ``values``."""
     lo, hi = min(values), max(values)
     xs = [svg_coord(v, lo, hi) for v in values]
     ys = [svg_coord(v, lo, hi, flip=True) for v in values]
+    # Each row's circles differ only in cx, so their tails are formatted
+    # once per distinct fact.
+    tails = {f: [f'" cy="{cy}" r="3" fill="{_PLOT_COLORS[cls]}"/>'
+                 for cy, cls in zip(ys, rows[f])] for f in set(facts)}
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" '
              'height="640" viewBox="0 0 640 640">',
              '<rect width="640" height="640" fill="white"/>',
              '<rect x="40" y="40" width="560" height="560" fill="none" '
              'stroke="black"/>']
-    for cx, row in zip(xs, rows):
-        for cy, cls in zip(ys, row):
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" '
-                         f'fill="{_PLOT_COLORS[cls]}"/>')
+    for cx, f in zip(xs, facts):
+        head = '<circle cx="' + cx
+        parts.append(head + ("\n" + head).join(tails[f]))
     parts.append('<text x="40" y="24" font-size="12">'
                  'red: lspace  blue: foliation  gray: non-qhs</text>')
     parts.append("</svg>")
@@ -331,24 +339,24 @@ def cmd_plot(args):
     slopes = grid_slopes(bounds, max_den)
     if not slopes:
         raise ValueError("bounds produce no slopes")
-    # Only the classes are computed per pair, from per-slope facts.
+    # A row of classes depends only on the facts of its slope, and at most
+    # 7 distinct facts occur, so each row is decided and rendered once.
     facts = [_facts(s) for s in slopes]
-    classes = [[plot_class(_decide(f1, f2)) for f2 in facts]
-               for f1 in facts]
+    classes = {f1: [plot_class(_decide(f1, f2)) for f2 in facts]
+               for f1 in set(facts)}
     if args.format == "tsv":
         names = [str(s) for s in slopes]
-        lines = ["s1\ts2\tclass"]
-        lines.extend(f"{a}\t{b}\t{cls}" for a, row in zip(names, classes)
-                     for b, cls in zip(names, row))
-        _emit("\n".join(lines) + "\n", args.out)
+        tails = {f: [f"\t{b}\t{cls}" for b, cls in zip(names, row)]
+                 for f, row in classes.items()}
+        blocks = [a + ("\n" + a).join(tails[f]) for a, f in zip(names, facts)]
+        _emit("s1\ts2\tclass\n" + "\n".join(blocks) + "\n", args.out)
         return 0
     from fractions import Fraction
     # Infinity sorts last, so the finite slopes are a prefix of the grid.
     finite = [Fraction(s.num, s.den) for s in slopes if s.is_finite()]
     if not finite:
         raise ValueError("no finite slope pairs to plot")
-    m = len(finite)
-    _emit(_svg_scatter(finite, [row[:m] for row in classes[:m]]), args.out)
+    _emit(_svg_scatter(finite, facts[:len(finite)], classes), args.out)
     return 0
 
 
