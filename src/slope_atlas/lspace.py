@@ -29,11 +29,16 @@ class TorsionProfile(Record):
 
     def __init__(self, torsion_order, threshold, support=frozenset()):
         p, c = torsion_order, threshold
+        support = frozenset(support)
+        # type(), not isinstance(): bool is a subclass of int.
+        if any(type(x) is not int
+               for x in (p, c, *(x for pair in support for x in pair))):
+            raise ValueError("torsion order, threshold and support classes "
+                             "must be integers")
         if p < 1:
             raise ValueError(f"torsion order must be >= 1, got {p}")
         if c < 0:
             raise ValueError(f"threshold must be >= 0, got {c}")
-        support = frozenset(support)
         for (n, t) in support:
             if not (0 <= n <= c and 0 <= t < p):
                 raise ValueError(f"support class {(n, t)} outside the "

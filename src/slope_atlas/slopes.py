@@ -35,6 +35,9 @@ class CircularArc(Record):
     __slots__ = _fields = ("start", "end", "start_closed", "end_closed")
 
     def __init__(self, start, end, start_closed=False, end_closed=False):
+        if not (isinstance(start, ExtRational)
+                and isinstance(end, ExtRational)):
+            raise TypeError("arc endpoints must be slopes")
         if start == end and start_closed != end_closed:
             raise ValueError("degenerate arc must have both flags open (empty)"
                              " or both closed (single point)")
@@ -90,112 +93,52 @@ ABOVE_MINUS_ONE_ARC = CircularArc(MINUS_ONE, INF)   # finite slopes > -1
 UNIT_ARC = CircularArc(MINUS_ONE, ONE)    # slopes strictly between -1 and 1
 
 
-def _linear_parts(a):
-    """Decompose an arc into order intervals over finite slopes plus an
-    infinity flag.
-
-    Returns (parts, inf_in) where each part is (lo, lo_closed, hi, hi_closed)
-    with None standing for an absent (unbounded) end.
-    """
-    s, e, sc, ec = a.start, a.end, a.start_closed, a.end_closed
-    if s == e:
-        if not sc:
-            return [], False
-        if s.is_infinite():
-            return [], True
-        return [(s, True, s, True)], False
-    if s.is_infinite():
-        return [(None, False, e, ec)], sc
-    if e.is_infinite():
-        return [(s, sc, None, False)], ec
-    if s < e:
-        return [(s, sc, e, ec)], False
-    return [(s, sc, None, False), (None, False, e, ec)], True
-
-
-def _part_intersect(p, q):
-    (alo, alc, ahi, ahc) = p
-    (blo, blc, bhi, bhc) = q
-    if alo is None:
-        lo, lc = blo, blc
-    elif blo is None:
-        lo, lc = alo, alc
-    elif alo > blo:
-        lo, lc = alo, alc
-    elif blo > alo:
-        lo, lc = blo, blc
-    else:
-        lo, lc = alo, alc and blc
-    if ahi is None:
-        hi, hc = bhi, bhc
-    elif bhi is None:
-        hi, hc = ahi, ahc
-    elif ahi < bhi:
-        hi, hc = ahi, ahc
-    elif bhi < ahi:
-        hi, hc = bhi, bhc
-    else:
-        hi, hc = ahi, ahc and bhc
-    if lo is not None and hi is not None:
-        if lo > hi:
-            return None
-        if lo == hi:
-            if lc and hc:
-                return (lo, True, hi, True)
-            return None
-    return (lo, lc, hi, hc)
-
-
-def _reassemble(parts, inf_in):
-    up = down = None
-    arcs = []
-    for (lo, lc, hi, hc) in parts:
-        if lo is None:
-            down = (lo, lc, hi, hc)
-        elif hi is None:
-            up = (lo, lc, hi, hc)
-        else:
-            arcs.append(CircularArc(lo, hi, lc, hc))
-    if inf_in:
-        if up and down:
-            (lo, lc, _, _) = up
-            (_, _, hi, hc) = down
-            if hi < lo:
-                arcs.append(CircularArc(lo, hi, lc, hc))
-            else:
-                # The wrap endpoints coincide; split around infinity so each
-                # piece stays a valid arc.
-                arcs.append(CircularArc(lo, INF, lc, True))
-                arcs.append(CircularArc(INF, hi, False, hc))
-        elif up:
-            arcs.append(CircularArc(up[0], INF, up[1], True))
-        elif down:
-            arcs.append(CircularArc(INF, down[2], True, down[3]))
-        else:
-            arcs.append(POINT_INF)
-    else:
-        if up:
-            arcs.append(CircularArc(up[0], INF, up[1], False))
-        if down:
-            arcs.append(CircularArc(INF, down[2], False, down[3]))
-    return arcs
+def _sample(piece):
+    """A slope inside a piece of the cut circle: the point itself, the
+    midpoint of a finite gap, or one step beyond the finite end of a gap
+    that reaches infinity."""
+    lo, hi, closed = piece
+    if closed:
+        return lo
+    if lo.is_finite() and hi.is_finite():
+        return ExtRational(lo.num * hi.den + hi.num * lo.den,
+                           2 * lo.den * hi.den)
+    if hi.is_finite():
+        return ExtRational(hi.num - hi.den, hi.den)
+    if lo.is_finite():
+        return ExtRational(lo.num + lo.den, lo.den)
+    return ZERO
 
 
 def arc_intersect(a, b):
     """Intersection of two arcs as a list of pairwise disjoint arcs.
 
     Two wrap arcs can meet in two pieces, so the result is a list (possibly
-    empty).  Membership is exact; the decomposition is not canonical.
+    empty).  No piece is empty, and membership is exact; the decomposition is
+    not canonical.
+
+    The finite endpoints of both arcs and infinity cut the circle into points
+    and open gaps, on each of which both arcs are constant; each cyclic run of
+    pieces that lie in both arcs is one arc.
     """
-    parts_a, inf_a = _linear_parts(a)
-    parts_b, inf_b = _linear_parts(b)
-    parts = []
-    for p in parts_a:
-        for q in parts_b:
-            r = _part_intersect(p, q)
-            if r is not None:
-                parts.append(r)
-    return _reassemble(parts, inf_a and inf_b)
+    cuts = [INF, *sorted({x for arc in (a, b) for x in (arc.start, arc.end)
+                          if x.is_finite()})]
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:] + cuts[:1]):
+        pieces += [(lo, lo, True), (lo, hi, False)]
+    kept = [a.contains(x) and b.contains(x) for x in map(_sample, pieces)]
+    # No arc is the whole circle, so some piece is dropped; a scan that
+    # starts just after it ends on it, and no run wraps past the scan's end.
+    k = kept.index(False) + 1
+    arcs, run = [], []
+    for piece, keep in zip(pieces[k:] + pieces[:k], kept[k:] + kept[:k]):
+        if keep:
+            run.append(piece)
+        elif run:
+            (start, _, start_closed), (_, end, end_closed) = run[0], run[-1]
+            arcs.append(CircularArc(start, end, start_closed, end_closed))
+            run = []
+    return arcs
 
 
 class Region(Record):
@@ -261,45 +204,24 @@ def region_union(a, b):
     return Region(a.dim, tuple(boxes), tuple(lines))
 
 
-def _nonzero_finite_pieces(a):
-    """Arcs covering the finite nonzero part of an arc."""
-    return arc_intersect(a, POSITIVE_ARC) + arc_intersect(a, NEGATIVE_ARC)
-
-
-def _line_box_intersection(i, box, dim):
-    if not box[i].contains(INF):
-        return []
-    per_coord = []
-    for j in range(dim):
-        if j == i:
-            per_coord.append([POINT_INF])
-        else:
-            pieces = _nonzero_finite_pieces(box[j])
-            if not pieces:
-                return []
-            per_coord.append(pieces)
-    return [tuple(combo) for combo in itertools.product(*per_coord)]
+def _covering_boxes(region):
+    """The region's boxes, each infinity line i expanded into the boxes of
+    infinity at i and a positive or negative finite slope elsewhere."""
+    boxes = list(region.boxes)
+    for i in region.lines:
+        for signs in itertools.product((POSITIVE_ARC, NEGATIVE_ARC),
+                                       repeat=region.dim - 1):
+            boxes.append(signs[:i] + (POINT_INF,) + signs[i:])
+    return boxes
 
 
 def region_intersect(a, b):
-    """Set intersection, distributed over boxes and lines."""
+    """Set intersection as a union of boxes: both regions are expanded into
+    covering boxes, which are intersected pairwise."""
     if a.dim != b.dim:
         raise ValueError("intersection of regions of different dimension")
-    dim = a.dim
-    boxes = []
-    for box_a in a.boxes:
-        for box_b in b.boxes:
-            per_coord = [arc_intersect(x, y) for x, y in zip(box_a, box_b)]
-            if any(not pieces for pieces in per_coord):
-                continue
-            boxes.extend(tuple(c) for c in itertools.product(*per_coord))
-    lines = tuple(sorted(set(a.lines) & set(b.lines)))
-    for src_lines, src_boxes in ((a.lines, b.boxes), (b.lines, a.boxes)):
-        for i in src_lines:
-            for box in src_boxes:
-                boxes.extend(_line_box_intersection(i, box, dim))
-    seen = []
-    for box in boxes:
-        if box not in seen:
-            seen.append(box)
-    return Region(dim, tuple(seen), lines)
+    pairs = itertools.product(_covering_boxes(a), _covering_boxes(b))
+    boxes = dict.fromkeys(
+        box for box_a, box_b in pairs
+        for box in itertools.product(*map(arc_intersect, box_a, box_b)))
+    return Region(a.dim, tuple(boxes))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -111,6 +112,22 @@ def test_profile_validation():
         TorsionProfile(2, 1, frozenset({(0, 2)}))     # torsion out of range
     with pytest.raises(ValueError):
         TorsionProfile(2, 1, frozenset({(2, 0)}))     # column above threshold
+
+
+@pytest.mark.parametrize("args", [
+    (1.5, 2, {(0, 0), (1, 0.5)}),
+    (True, 0, {(0, 0)}),
+    (1, False, {(0, 0)}),
+    (Fraction(2), 1, {(0, 0)}),
+    (2, 1, {(0, 0), (1, Fraction(1))}),
+    (2, 1, {(0, 0), (True, 1)}),
+    (2, 1.0, {(0, 0)}),
+])
+def test_profile_rejects_non_integers(args):
+    # Membership computes t % p, so a float or Fraction would bring
+    # non-integer arithmetic into the predicate.
+    with pytest.raises(ValueError, match="must be integers"):
+        TorsionProfile(*args)
 
 
 def test_in_support_outside_window():

@@ -154,6 +154,13 @@ def test_arc_membership_cases():
     assert not to_inf.contains(INF) and not to_inf.contains(q(0))
 
 
+@pytest.mark.parametrize("ends", [(ONE, 5), (Fraction(1), ONE),
+                                  (None, INF), ((1, 2), ZERO)])
+def test_arc_endpoints_must_be_slopes(ends):
+    with pytest.raises(TypeError, match="arc endpoints must be slopes"):
+        CircularArc(*ends)
+
+
 def test_degenerate_arcs():
     empty = CircularArc(ONE, ONE)
     assert empty.is_empty() and not empty.contains(ONE)
@@ -229,6 +236,29 @@ def test_arc_intersection_membership_exact():
             want = a.contains(x) and b.contains(x)
             got = any(p.contains(x) for p in pieces)
             assert want == got, (str(a), str(b), str(x))
+
+
+def test_arc_intersection_exhaustive_on_small_endpoint_set():
+    # Every arc with endpoints in {inf, -1, 0, 1/2, 1}, degenerate and
+    # closed-flag arcs included, against every other.  The samples are the
+    # endpoints, the midpoints between them and one step beyond each end,
+    # so each piece the two arcs cut the circle into is hit.
+    ends = [INF, q(-1), ZERO, q(1, 2), ONE]
+    arcs = [CircularArc(s, e, sc, ec)
+            for s in ends for e in ends
+            for sc in (False, True) for ec in (False, True)
+            if s != e or sc == ec]
+    assert len(arcs) == 90
+    samples = _sample_points(arcs)
+    assert len(samples) == 10
+    for a in arcs:
+        for b in arcs:
+            pieces = arc_intersect(a, b)
+            assert not any(p.is_empty() for p in pieces), (str(a), str(b))
+            for x in samples:
+                hits = sum(p.contains(x) for p in pieces)
+                assert hits == (a.contains(x) and b.contains(x)), (
+                    str(a), str(b), str(x), [str(p) for p in pieces])
 
 
 def test_arc_intersection_can_split_in_two():

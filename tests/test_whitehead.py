@@ -18,7 +18,8 @@ from slope_atlas.lspace import IntervalCandidates, TorsionProfile
 from slope_atlas.monodromy import (WL_MONODROMY, Monodromy, TrackTemplate,
                                    coherent_orientations, witness)
 from slope_atlas.slopes import (INF, ONE, POSITIVE_ARC, CircularArc,
-                                ExtRational, Region, parse_slope)
+                                ExtRational, Region, parse_slope,
+                                region_intersect)
 from slope_atlas.whitehead import (
     FIBER_PAIRING,
     EulerBoundary,
@@ -236,6 +237,13 @@ def test_dichotomy_and_region_agreement_small_grid():
             assert (v.lspace is YES) == lspace_region.contains((s1, s2))
             assert (v.taut_foliation is YES) == foliation_region.contains(
                 (s1, s2))
+
+
+def test_lspace_and_foliation_regions_are_disjoint():
+    # The exact half of the dichotomy: no multislope, infinity included,
+    # lies in both regions.
+    both = region_intersect(wl_lspace_region(), wl_foliation_region())
+    assert both.is_empty_representation()
 
 
 def test_foliation_region_is_min_below_one_on_finite_slopes():
