@@ -294,7 +294,11 @@ def carried_weight_cone(c, bound):
     depends only on free sectors of lower column.  Two systems therefore
     first differ at a free column, and the search visits free columns in
     ascending order with ascending values.  Each (sector id, weight) pair
-    is one tuple, shared by every system of the result that holds it.
+    is one tuple, shared by every system of the result that holds it; a
+    leaf copies the pairs kept on the branch.  A free sector's pair, and the
+    pivot pair of each row complete at its depth, is interned once every row
+    checked there passes.  A weight that a check cuts is never interned, so
+    the intern dicts hold accepted pairs, not one per value up to bound.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -320,7 +324,8 @@ def carried_weight_cone(c, bound):
     free = [j for j in range(len(order)) if j not in reduced]
     # steps[f]: (pivot, c, least, most, d, d * bound, complete) per row with
     # c != 0 on f; the free sectors after f add least..most to the row.
-    steps = {f: [] for f in free}
+    # done[f]: f and the pivots of the rows that complete at f.
+    steps, done = {f: [] for f in free}, {f: [f] for f in free}
     for p, row in reduced.items():
         least = most = 0
         tail = sorted((f for f in row if f != p), reverse=True)
@@ -329,13 +334,15 @@ def carried_weight_cone(c, bound):
                              f == tail[0]))
             least -= bound * max(row[f], 0)
             most -= bound * min(row[f], 0)
+        if tail:
+            done[tail[0]].append(p)
     sums, w = [0] * len(order), [0] * len(order)   # sums: per pivot row
     shared = [{} for _ in order]   # per sector: weight -> (id, weight)
+    cur = list(zip(order, w))   # pivots of no free sector stay (id, 0)
     out, i = [], 0
     while i >= 0:
         if i == len(free):
-            out.append(WeightSystem(tuple(map(dict.setdefault, shared, w,
-                                              zip(order, w)))))
+            out.append(WeightSystem(tuple(cur)))
             i -= 1
         else:
             for p, _, least, most, d, top, complete in steps[free[i]]:
@@ -344,6 +351,10 @@ def carried_weight_cone(c, bound):
                     break
                 w[p] = s // d   # final once the row is complete
             else:
+                for p in done[free[i]]:
+                    v = w[p]
+                    cur[p] = (shared[p].get(v)
+                              or shared[p].setdefault(v, (order[p], v)))
                 i += 1
                 continue
         # Step to the next assignment, backing out of sectors at bound.

@@ -153,13 +153,17 @@ class Region(Record):
     __slots__ = _fields = ("dim", "boxes", "lines")
 
     def __init__(self, dim, boxes=(), lines=()):
+        if type(dim) is not int:
+            raise ValueError(f"region dimension {dim!r} is not an int")
         for box in boxes:
             if len(box) != dim:
                 raise ValueError(f"box of arity {len(box)} in a "
                                  f"{dim}-dimensional region")
+            if not all(isinstance(a, CircularArc) for a in box):
+                raise TypeError("box entries must be arcs")
         for i in lines:
-            if not (0 <= i < dim):
-                raise ValueError(f"line index {i} out of range")
+            if type(i) is not int or not 0 <= i < dim:
+                raise ValueError(f"line index {i!r} out of range")
         self._init(dim, boxes, lines)
 
     def is_empty_representation(self):

@@ -141,6 +141,12 @@ def _plain_complex(ids, *switches):
         tuple(BranchArc(f"C{i}", *sw) for i, sw in enumerate(switches)))
 
 
+def _assert_pairs_shared(cone):
+    """Equal (id, weight) pairs within one result are one shared tuple."""
+    pairs = list(itertools.chain.from_iterable(ws.weights for ws in cone))
+    assert len(set(map(id, pairs))) == len(set(pairs))
+
+
 def _arc_map(c):
     return {a.id: a for a in c.arcs}
 
@@ -426,8 +432,9 @@ def test_weight_cone_matches_product_search_on_generated_family():
     for m in monodromies:
         for c in complexes_for(m).values():
             for bound in range(5):
-                assert carried_weight_cone(c, bound) == _product_cone(c,
-                                                                      bound)
+                cone = carried_weight_cone(c, bound)
+                assert cone == _product_cone(c, bound)
+                _assert_pairs_shared(cone)
 
 
 def test_weight_cone_matches_product_search_on_free_complexes():
@@ -439,11 +446,24 @@ def test_weight_cone_matches_product_search_on_free_complexes():
         for bound in range(5):
             cone = carried_weight_cone(c, bound)
             assert cone == _product_cone(c, bound)
-            pairs = {}
-            for ws in cone:
-                # Equal (id, weight) pairs are one shared tuple.
-                for pair in ws.weights:
-                    assert pairs.setdefault(pair, pair) is pair
+            _assert_pairs_shared(cone)
+
+
+def test_weight_cone_shares_pairs_in_every_free_layout():
+    # Every placement of the switch's sectors among 8 columns, at bound 2.
+    # The pivot is the largest of its columns and completes at the next
+    # largest, so the layouts include a pivot before the last free column
+    # (A = B + C), a pivot as the last column (A = B + H), and a pivot that
+    # completes at depth 0 (B = 2A).
+    ids = "ABCDEFGH"
+    layouts = [(big, a, b) for big, a, b in itertools.permutations(ids, 3)
+               if a < b]
+    layouts += [(big, a, a) for big, a in itertools.permutations(ids, 2)]
+    for switch in layouts:
+        cone = carried_weight_cone(_plain_complex(ids, switch), 2)
+        # 6 (a, b) pairs with a + b <= 2, or 2 values of a with 2a <= 2.
+        assert len(cone) == 1458, switch
+        _assert_pairs_shared(cone)
 
 
 def test_weight_cone_memory_follows_pairs_met_not_bound():
@@ -491,7 +511,9 @@ def test_weight_cone_matches_oracle_on_random_complexes(c, bound):
     # The examples give pivots 2 and 4, big == small_a, an isolated sector,
     # a sector pinned to 0, and 2C = A + B, whose parity is settled only
     # once both A and B are set.
-    assert carried_weight_cone(c, bound) == weight_cone_oracle(c, bound)
+    cone = carried_weight_cone(c, bound)
+    assert cone == weight_cone_oracle(c, bound)
+    _assert_pairs_shared(cone)
 
 
 def test_weight_cone_of_many_isolated_sectors_at_bound_zero():

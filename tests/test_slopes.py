@@ -330,6 +330,26 @@ def test_region_dimension_checks():
         Region(1, (), (3,))
 
 
+@pytest.mark.parametrize("box", [(5,), (ONE,), (None,), ((ZERO, INF),)])
+def test_region_box_entries_must_be_arcs(box):
+    # Without the check, `contains` failed later with AttributeError.
+    with pytest.raises(TypeError, match="box entries must be arcs"):
+        Region(1, (box,))
+
+
+@pytest.mark.parametrize("args", [
+    (True, ((CircularArc(ZERO, INF),),)),
+    (2.0, ()),
+    (2, (), (True,)),
+    (2, (), (False,)),
+    (2, (), (1.0,)),
+    (2, (), (Fraction(1),)),
+])
+def test_region_dimension_and_lines_must_be_ints(args):
+    with pytest.raises(ValueError, match="not an int|line index"):
+        Region(*args)
+
+
 def test_empty_region_behavior():
     e = Region(2)
     assert e.is_empty_representation()
