@@ -79,12 +79,6 @@ class BranchComplex(Record):
     def sector_ids(self):
         return tuple(s.id for s in self.sectors)
 
-    def sector(self, sector_id):
-        for s in self.sectors:
-            if s.id == sector_id:
-                return s
-        raise KeyError(sector_id)
-
     def to_json(self):
         doc = {
             "sectors": [
@@ -248,9 +242,6 @@ class WeightSystem(Record):
     def __init__(self, weights):
         _set_weights(self, weights)
 
-    def as_dict(self):
-        return dict(self.weights)
-
     def __getitem__(self, sector_id):
         try:
             table = self._table
@@ -264,29 +255,21 @@ class WeightSystem(Record):
 _set_weights = WeightSystem.weights.__set__
 
 
-def check_weights(c, weights):
-    """Whether a sector-id -> weight mapping solves every switch equation
-    with nonnegative values."""
-    if set(weights) != set(c.sector_ids()):
-        return False
-    if any(w < 0 for w in weights.values()):
-        return False
-    return all(weights[a.big] == weights[a.small_a] + weights[a.small_b]
-               for a in c.arcs)
-
-
 def carried_weight_cone(c, bound):
     """All nonnegative integer weight systems with every weight <= bound,
     sorted by their weight tuple in sector order.
 
-    The switch equations are row-reduced in integers, cross-multiplying
-    and dividing by the gcd, to rows d * w[pivot] = sum(c_i * w[free_i])
-    with d > 0.  The free sectors are set to 0..bound in order, depth first.
-    A complete row keeps its pivot weight only when integral and in
-    0..bound.  An incomplete row cuts the branch when the unset sectors,
-    which add between bound * (sum of c_i < 0) and bound * (sum of c_i > 0),
-    can no longer bring it into 0..d * bound.  The cut is exact: it tests a
-    relaxation, and integrality only on complete rows.
+    ``bound`` must be an ``int``.  The switch equations are row-reduced in
+    integers to rows d * w[pivot] = sum(c_i * w[free_i]) with d > 0, each
+    elimination updating its row dict in place.  Each free column gets two
+    tables over the rows that use it: the (pivot, c_i) steps of the row
+    sums, and the checks read at each visit.  The free sectors are set to
+    0..bound in order, depth first.  A complete row keeps its pivot weight
+    only when integral and in 0..bound.  An incomplete row cuts the branch
+    when the unset sectors, which add between bound * (sum of c_i < 0) and
+    bound * (sum of c_i > 0), can no longer bring it into 0..d * bound.  The
+    cut is exact: it tests a relaxation, and integrality only on complete
+    rows.
 
     The search order is the sorted order, so no sort is needed.  A row's
     pivot is its largest column when the row is inserted, and
@@ -300,8 +283,8 @@ def carried_weight_cone(c, bound):
     checked there passes.  A weight that a check cuts is never interned, so
     the intern dicts hold accepted pairs, not one per value up to bound.
     """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"bound must be a nonnegative int, got {bound!r}")
     order = c.sector_ids()
     col = {sid: j for j, sid in enumerate(order)}
     reduced = {}   # pivot column -> row {column: coefficient}, pivot > 0
@@ -311,27 +294,31 @@ def carried_weight_cone(c, bound):
             row[col[sid]] = row.get(col[sid], 0) + sign
         row = {j: v for j, v in row.items() if v}
         for j in [j for j in row if j in reduced]:
-            row = _eliminate(row, reduced[j], j)
+            _eliminate(row, reduced[j], j)
         if not row:
             continue
         pivot = max(row)
         if row[pivot] < 0:
-            row = {j: -v for j, v in row.items()}
-        for p, prow in reduced.items():
+            for j in row:
+                row[j] = -row[j]
+        for prow in reduced.values():
             if pivot in prow:
-                reduced[p] = _eliminate(prow, row, pivot)
+                _eliminate(prow, row, pivot)
         reduced[pivot] = row
     free = [j for j in range(len(order)) if j not in reduced]
-    # steps[f]: (pivot, c, least, most, d, d * bound, complete) per row with
-    # c != 0 on f; the free sectors after f add least..most to the row.
+    # pairs[f]: (pivot, c) per row with c != 0 on f, as the sums step.
+    # checks[f]: (pivot, least, most, d, d * bound, complete) for the same
+    # rows in the same order; the free sectors after f add least..most.
     # done[f]: f and the pivots of the rows that complete at f.
-    steps, done = {f: [] for f in free}, {f: [f] for f in free}
+    pairs, checks = {f: [] for f in free}, {f: [] for f in free}
+    done = {f: [f] for f in free}
     for p, row in reduced.items():
+        d = row.pop(p)
         least = most = 0
-        tail = sorted((f for f in row if f != p), reverse=True)
+        tail = sorted(row, reverse=True)
         for f in tail:
-            steps[f].append((p, -row[f], least, most, row[p], row[p] * bound,
-                             f == tail[0]))
+            pairs[f].append((p, -row[f]))
+            checks[f].append((p, least, most, d, d * bound, f == tail[0]))
             least -= bound * max(row[f], 0)
             most -= bound * min(row[f], 0)
         if tail:
@@ -345,7 +332,7 @@ def carried_weight_cone(c, bound):
             out.append(WeightSystem(tuple(cur)))
             i -= 1
         else:
-            for p, _, least, most, d, top, complete in steps[free[i]]:
+            for p, least, most, d, top, complete in checks[free[i]]:
                 s = sums[p]
                 if s + most < 0 or s + least > top or complete and s % d:
                     break
@@ -359,26 +346,38 @@ def carried_weight_cone(c, bound):
                 continue
         # Step to the next assignment, backing out of sectors at bound.
         while i >= 0 and w[free[i]] == bound:
-            for p, cf, *_ in steps[free[i]]:
+            for p, cf in pairs[free[i]]:
                 sums[p] -= bound * cf
             w[free[i]] = 0
             i -= 1
         if i >= 0:
             w[free[i]] += 1
-            for p, cf, *_ in steps[free[i]]:
+            for p, cf in pairs[free[i]]:
                 sums[p] += cf
     return tuple(out)
 
 
 def _eliminate(row, prow, j):
-    """a * row - b * prow with a > 0 and column j cleared, divided by the
-    gcd of its entries; zero entries are dropped."""
-    g = math.gcd(prow[j], row[j])
-    a, b = prow[j] // g, row[j] // g
-    out = {k: a * row.get(k, 0) - b * prow.get(k, 0)
-           for k in row.keys() | prow.keys()}
-    g = math.gcd(*out.values())
-    return {k: v // g for k, v in out.items() if v}
+    """Clear column j of ``row`` in place: a * row - b * prow with a > 0,
+    divided by the gcd of its entries.  Multiplying by a 1 and dividing by a
+    gcd of 1 are skipped; an entry is deleted as soon as it cancels."""
+    b, pj = row[j], prow[j]   # column j cancels in the loop below
+    if pj != 1:
+        g = math.gcd(pj, b)
+        a, b = pj // g, b // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
+    for k, v in prow.items():
+        v = row.get(k, 0) - b * v
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+    g = math.gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
 
 
 def fundamental_ray(c, bound):

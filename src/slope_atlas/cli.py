@@ -1,9 +1,7 @@
 """Command line interface.
 
 Subcommands: classify, monodromy, region, batch, plot.  Exit codes: 0 on
-success, 2 on malformed input (the diagnostic names the offending token),
-3 when independent verdict rules contradict each other; the tests decide
-every pair of slope facts the rules can see, so 3 is unreachable.
+success, 2 on malformed input (the diagnostic names the offending token).
 `monodromy` and `region` import the region modules when they run; classify,
 batch and plot need only `rational` and `whitehead`.
 """
@@ -23,7 +21,6 @@ import sys
 from .rational import (INT_RE, SLOPE_RE, ExtRational, parse_int,
                        parse_slope, shown_token)
 from .whitehead import (
-    InconsistentVerdictError,
     _decide,
     _facts,
     classify,
@@ -412,9 +409,6 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
-    except InconsistentVerdictError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,10 +39,6 @@ class Orderable(enum.Enum):
         return self.value
 
 
-class InconsistentVerdictError(RuntimeError):
-    """Two independent rules produced contradictory verdict fields."""
-
-
 class EulerBoundary(collections.namedtuple("EulerBoundary", "a b p q")):
     """Euler-class data at one filled boundary: the two pairing constants
     and the filling slope p/q with p > 0, q != 0."""
@@ -185,8 +181,6 @@ def _decide(f1, f2):
         lo_yes.append("orderable-negative-integer-fiber")
     if is_lspace and (int1 or int2):
         lo_no.append("nonorderable-positive-integer-lspace")
-    if lo_yes and lo_no:
-        raise InconsistentVerdictError(f"{lo_yes} versus {lo_no}")
     orderable = (Orderable.YES if lo_yes else Orderable.NO if lo_no
                  else Orderable.UNKNOWN)
     return _Decision(True, lspace, foliation, euler, orderable,
@@ -195,11 +189,7 @@ def _decide(f1, f2):
 
 def classify(s1, s2):
     """Full verdict for the surgery multislope (s1, s2)."""
-    try:
-        d = _decide(_facts(s1), _facts(s2))
-    except InconsistentVerdictError as exc:
-        raise InconsistentVerdictError(
-            f"orderability rules disagree on {s1}, {s2}: {exc}") from None
+    d = _decide(_facts(s1), _facts(s2))
     return SurgeryVerdict((s1, s2), d.is_qhs, (abs(s1.num), abs(s2.num)),
                           *d[1:])
 
