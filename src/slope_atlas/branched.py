@@ -383,6 +383,8 @@ def _eliminate(row, prow, j):
 def fundamental_ray(c, bound):
     """The expected cone of the generated complexes: every fiber sector at
     weight t and every vertical sector at 0, for t = 0..bound."""
+    if type(bound) is not int or bound < 0:
+        raise ValueError(f"bound must be a nonnegative int, got {bound!r}")
     out = []
     for t in range(bound + 1):
         ws = tuple((s.id, 0 if s.kind is SectorKind.HALF_DISC else t)

@@ -12,8 +12,7 @@ closed-form box plus the two infinity lines.
 from __future__ import annotations
 
 from .rational import Record
-from .slopes import (INF, ONE, ZERO, CircularArc, ExtRational, Region,
-                     parse_int, shown_token)
+from .slopes import INF, CircularArc, ExtRational, Region
 
 
 class TorsionProfile(Record):
@@ -53,63 +52,6 @@ class TorsionProfile(Record):
         if n > self.threshold:
             return True
         return (n, t % self.torsion_order) in self.support
-
-
-def parse_profile(text):
-    """Parse the torsion profile file format.
-
-    First non-comment line is ``p c``; each following line is an in-support
-    class ``n t`` with n <= c.  Lines starting with '#' are ignored.
-    """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            # Unpacking stops at a third token, so a long line costs one
-            # split and at most three parses.
-            a, b = (parse_int(tok, "integer") for tok in line.split())
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected two integers, "
-                             f"got {shown_token(raw)!r}") from None
-        rows.append((a, b))
-    if not rows:
-        raise ValueError("empty profile: missing 'p c' header line")
-    (p, c), classes = rows[0], rows[1:]
-    return TorsionProfile(p, c, frozenset(classes))
-
-
-def format_profile(profile):
-    lines = [f"{profile.torsion_order} {profile.threshold}"]
-    for (n, t) in sorted(profile.support):
-        lines.append(f"{n} {t}")
-    return "\n".join(lines) + "\n"
-
-
-def profile_from_alexander(coefficients):
-    """Profile of Delta(t)/(1 - t) for a knot in a homology sphere (p = 1).
-
-    ``coefficients`` lists Delta's coefficients from the constant term up.
-    Requires the usual normalization: nonzero constant term and Delta(1) = 1
-    (so the series coefficients become the constant 1 beyond deg Delta, which
-    is taken as the threshold).
-    """
-    coeffs = list(coefficients)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs or coeffs[0] == 0:
-        raise ValueError("polynomial must have a nonzero constant term")
-    if sum(coeffs) != 1:
-        raise ValueError("polynomial must evaluate to 1 at t = 1")
-    c = len(coeffs) - 1
-    support = set()
-    partial = 0
-    for n in range(c + 1):
-        partial += coeffs[n]
-        if partial != 0:
-            support.add((n, 0))
-    return TorsionProfile(1, c, frozenset(support))
 
 
 def compute_d_positive(profile):
@@ -171,8 +113,12 @@ class IntervalCandidates(Record):
     __slots__ = _fields = ("n_h",)
 
     def __init__(self, n_h):
-        if n_h is not None and n_h < 1:
-            raise ValueError(f"interval bound must be >= 1, got {n_h}")
+        if n_h is not None:
+            # type(), not isinstance(): bool is a subclass of int.
+            if type(n_h) is not int:
+                raise ValueError(f"interval bound {n_h!r} is not an int")
+            if n_h < 1:
+                raise ValueError(f"interval bound must be >= 1, got {n_h}")
         self._init(n_h)
 
     def is_all_but_longitude(self):
@@ -194,8 +140,8 @@ def interval_candidates(d_positive):
     d = tuple(d_positive)
     if not d:
         return IntervalCandidates(None)
-    if any(n < 1 for n in d):
-        raise ValueError(f"difference set must be positive, got {d}")
+    if any(type(n) is not int or n < 1 for n in d):
+        raise ValueError(f"difference set must hold positive ints, got {d}")
     return IntervalCandidates(max(d))
 
 
@@ -203,40 +149,25 @@ def select_interval(candidates, known):
     """Pick the unique candidate interval containing a known L-space slope.
 
     The infinity slope lies in both one-sided candidates (it is always an
-    L-space slope), so it cannot discriminate; that and a slope in neither
-    candidate raise ValueError.
+    L-space slope), so it cannot discriminate; that and a slope in no
+    candidate (the zero slope, when the form is all-but-longitude) raise
+    ValueError.
     """
     if candidates.is_all_but_longitude():
-        return ALL_BUT_LONGITUDE
-    right, left = candidates.right_arc(), candidates.left_arc()
-    in_right, in_left = right.contains(known), left.contains(known)
-    if in_right and in_left:
-        raise ValueError(f"known slope {known} lies in both candidate "
-                         "intervals and cannot select a side")
-    if in_right:
-        return right
-    if in_left:
-        return left
+        if ALL_BUT_LONGITUDE.contains(known):
+            return ALL_BUT_LONGITUDE
+    else:
+        right, left = candidates.right_arc(), candidates.left_arc()
+        in_right, in_left = right.contains(known), left.contains(known)
+        if in_right and in_left:
+            raise ValueError(f"known slope {known} lies in both candidate "
+                             "intervals and cannot select a side")
+        if in_right:
+            return right
+        if in_left:
+            return left
     raise ValueError(f"known slope {known} lies in neither candidate "
                      "interval; inconsistent input data")
-
-
-def propagate_region(components):
-    """L-space box guaranteed by componentwise positive slopes.
-
-    Each component slope r must be finite and positive; it contributes
-    [floor(r), inf] when r >= 1 and (0, inf] when 0 < r < 1.
-    """
-    arcs = []
-    for r in components:
-        if r.is_infinite() or not r > ZERO:
-            raise ValueError(f"component slope must be finite and positive, "
-                             f"got {r}")
-        if r >= ONE:
-            arcs.append(CircularArc(ExtRational(r.floor()), INF, True, True))
-        else:
-            arcs.append(CircularArc(ZERO, INF, False, True))
-    return Region(len(arcs), (tuple(arcs),))
 
 
 def two_component_region(b1, b2):

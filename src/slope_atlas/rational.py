@@ -101,23 +101,6 @@ class ExtRational(Record):
     def is_zero(self):
         return self.num == 0
 
-    def is_integer(self):
-        return self.den == 1
-
-    def floor(self):
-        """Integer floor; finite slopes only."""
-        self._require_finite("floor")
-        return self.num // self.den
-
-    def as_fraction(self):
-        from fractions import Fraction
-        self._require_finite("as_fraction")
-        return Fraction(self.num, self.den)
-
-    @classmethod
-    def from_fraction(cls, f):
-        return cls(f.numerator, f.denominator)
-
     def _require_finite(self, what):
         if self.den == 0:
             raise ValueError(f"{what} is undefined for the infinity slope")
@@ -145,9 +128,6 @@ class ExtRational(Record):
     def __ge__(self, other):
         a, b = self._cmp_key(other)
         return a >= b
-
-    def __neg__(self):
-        return ExtRational(-self.num, self.den)
 
     def __str__(self):
         if self.den == 0:
@@ -214,20 +194,3 @@ def parse_slope(text):
     raise ValueError(f"invalid slope token {shown_token(text)!r}"
                      + (" (0/0 is not a slope)" if m else ""))
 
-
-def parse_multislope(text, dim=None):
-    """Parse '(s1, s2, ...)' (parentheses optional) into a slope tuple."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    toks = body.split(",")
-    if toks == [""]:
-        raise ValueError(f"invalid multislope {shown_token(text)!r}")
-    if dim is not None and len(toks) != dim:
-        raise ValueError(f"expected {dim} slopes, got {len(toks)} in "
-                         f"{shown_token(text)!r}")
-    return tuple(parse_slope(t) for t in toks)
-
-
-def format_multislope(slopes):
-    return "(" + ", ".join(str(s) for s in slopes) + ")"

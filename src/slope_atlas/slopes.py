@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from .rational import (INF, INT_RE, MAX_SLOPE_TOKEN, MINUS_ONE, ONE, SLOPE_RE,
-                       ZERO, ExtRational, Record, format_multislope, parse_int,
-                       parse_multislope, parse_slope, shown_token)
+from .rational import (INF, MAX_SLOPE_TOKEN, MINUS_ONE, ONE, ZERO, ExtRational,
+                       Record, parse_int, parse_slope, shown_token)
 
 
 class CircularArc(Record):
@@ -165,9 +164,6 @@ class Region(Record):
             if type(i) is not int or not 0 <= i < dim:
                 raise ValueError(f"line index {i!r} out of range")
         self._init(dim, boxes, lines)
-
-    def is_empty_representation(self):
-        return not self.boxes and not self.lines
 
     def contains(self, multislope):
         if len(multislope) != self.dim:

@@ -579,11 +579,13 @@ def test_weight_cone_rejects_negative_bound():
 
 def test_weight_cone_rejects_non_int_bound():
     # A float bound is never equal to an integer weight, so the search
-    # would count up without end; the check must come before it.
+    # would count up without end; the check must come before it.  The
+    # reference ray takes its bound on the same terms.
     c = _plain_complex("AB", ("A", "B", "B"))
-    for bound in (2.5, True, Fraction(3), "3"):
-        with pytest.raises(ValueError):
-            carried_weight_cone(c, bound)
+    for cone in (carried_weight_cone, fundamental_ray):
+        for bound in (2.5, True, Fraction(3), "3", -1):
+            with pytest.raises(ValueError, match="nonnegative int"):
+                cone(c, bound)
 
 
 def test_solutions_verify_and_check_weights_rejects_bad():

@@ -511,6 +511,10 @@ def test_witness_exists_exactly_on_realized_interval():
                     witness(template, s)
 
 
+def _fraction(s):
+    return Fraction(s.num, s.den)
+
+
 def test_parametric_weights_recover_the_slope():
     rng = random.Random(42)
     slopes = _random_slopes(rng, 300)
@@ -518,13 +522,13 @@ def test_parametric_weights_recover_the_slope():
     for s in slopes:
         if realized_interval(TrackTemplate.A0_POSITIVE).contains(s):
             w = witness(TrackTemplate.A0_POSITIVE, s)
-            x, y = w.x.as_fraction(), w.y.as_fraction()
-            assert x - y == s.as_fraction()
+            x, y = _fraction(w.x), _fraction(w.y)
+            assert x - y == _fraction(s)
             assert zero < x < one and y > zero
         if realized_interval(TrackTemplate.A0_NEGATIVE).contains(s):
             w = witness(TrackTemplate.A0_NEGATIVE, s)
-            x, y = w.x.as_fraction(), w.y.as_fraction()
-            assert x - y == s.as_fraction()
+            x, y = _fraction(w.x), _fraction(w.y)
+            assert x - y == _fraction(s)
             assert zero < y < one and x > zero
 
 
@@ -545,7 +549,7 @@ def test_mirror_symmetry_of_realized_intervals():
                (TrackTemplate.PPLUS, TrackTemplate.PMINUS),
                (TrackTemplate.N_OUT, TrackTemplate.N_IN))
     for s in _random_slopes(rng, 150):
-        neg = INF if s.is_infinite() else -s
+        neg = q(-s.num, s.den)   # -1/0 normalizes to inf
         for left, right in mirrors:
             assert (realized_interval(left).contains(s)
                     == realized_interval(right).contains(neg))
