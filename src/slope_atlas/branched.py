@@ -23,6 +23,7 @@ Both have no sink discs and carry exactly the fundamental-class ray.
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import math
 
@@ -95,14 +96,26 @@ class BranchComplex(Record):
 
     @classmethod
     def from_json(cls, text):
+        """Read a `to_json` document: ids must be JSON strings and
+        ``meets_boundary`` a JSON bool, or ValueError names the field."""
         doc = json.loads(text)
         sectors = tuple(
-            Sector(s["id"], SectorKind(s["kind"]), bool(s["meets_boundary"]))
-            for s in doc["sectors"])
+            Sector(_field(s, "id", str), SectorKind(_field(s, "kind", str)),
+                   _field(s, "meets_boundary", bool))
+            for s in _field(doc, "sectors", list))
         arcs = tuple(
-            BranchArc(a["id"], a["big"], a["a"], a["b"])
-            for a in doc["arcs"])
+            BranchArc(*(_field(a, k, str) for k in ("id", "big", "a", "b")))
+            for a in _field(doc, "arcs", list))
         return cls(sectors, arcs)
+
+
+def _field(obj, key, kind):
+    """``obj[key]`` of a complex document, which must be a ``kind``."""
+    value = obj.get(key) if type(obj) is dict else None
+    if type(value) is not kind:
+        raise ValueError(f"complex document field {key!r} must be a "
+                         f"{kind.__name__}, got {value!r}")
+    return value
 
 
 def _vertical_sectors(k):
@@ -269,7 +282,9 @@ def carried_weight_cone(c, bound):
     when the unset sectors, which add between bound * (sum of c_i < 0) and
     bound * (sum of c_i > 0), can no longer bring it into 0..d * bound.  The
     cut is exact: it tests a relaxation, and integrality only on complete
-    rows.
+    rows.  Every row on the last free column completes there, so one loop
+    sets that column to 0..bound and checks those rows on sums + c * value
+    alone.  With no free sector the only system is all zero.
 
     The search order is the sorted order, so no sort is needed.  A row's
     pivot is its largest column when the row is inserted, and
@@ -278,10 +293,16 @@ def carried_weight_cone(c, bound):
     first differ at a free column, and the search visits free columns in
     ascending order with ascending values.  Each (sector id, weight) pair
     is one tuple, shared by every system of the result that holds it; a
-    leaf copies the pairs kept on the branch.  A free sector's pair, and the
-    pivot pair of each row complete at its depth, is interned once every row
-    checked there passes.  A weight that a check cuts is never interned, so
-    the intern dicts hold accepted pairs, not one per value up to bound.
+    system copies the pairs kept on the branch.  A free sector's pair, and
+    the pivot pair of each row complete at its depth, is interned once
+    every row checked there passes.  A weight that a check cuts is never
+    interned, so the intern dicts hold accepted pairs, not one per value up
+    to bound.
+
+    The cyclic garbage collector is paused for the search, process-wide,
+    and enabled again after it if it was enabled on entry.  The search
+    makes no reference cycles, so a collection would free nothing, while
+    its allocations would start one every few hundred systems.
     """
     if type(bound) is not int or bound < 0:
         raise ValueError(f"bound must be a nonnegative int, got {bound!r}")
@@ -306,19 +327,27 @@ def carried_weight_cone(c, bound):
                 _eliminate(prow, row, pivot)
         reduced[pivot] = row
     free = [j for j in range(len(order)) if j not in reduced]
+    if not free:   # every row is d * w[pivot] = 0
+        return (WeightSystem(tuple((sid, 0) for sid in order)),)
+    fl = free.pop()   # the last free column, run by the leaf loop
     # pairs[f]: (pivot, c) per row with c != 0 on f, as the sums step.
     # checks[f]: (pivot, least, most, d, d * bound, complete) for the same
     # rows in the same order; the free sectors after f add least..most.
+    # last: (pivot, c, d, d * bound) per row on fl, all complete there.
     # done[f]: f and the pivots of the rows that complete at f.
     pairs, checks = {f: [] for f in free}, {f: [] for f in free}
-    done = {f: [f] for f in free}
+    last, done = [], {f: [f] for f in free + [fl]}
     for p, row in reduced.items():
         d = row.pop(p)
         least = most = 0
         tail = sorted(row, reverse=True)
         for f in tail:
-            pairs[f].append((p, -row[f]))
-            checks[f].append((p, least, most, d, d * bound, f == tail[0]))
+            if f == fl:
+                last.append((p, -row[f], d, d * bound))
+            else:
+                pairs[f].append((p, -row[f]))
+                checks[f].append((p, least, most, d, d * bound,
+                                  f == tail[0]))
             least -= bound * max(row[f], 0)
             most -= bound * min(row[f], 0)
         if tail:
@@ -326,35 +355,54 @@ def carried_weight_cone(c, bound):
     sums, w = [0] * len(order), [0] * len(order)   # sums: per pivot row
     shared = [{} for _ in order]   # per sector: weight -> (id, weight)
     cur = list(zip(order, w))   # pivots of no free sector stay (id, 0)
-    out, i = [], 0
-    while i >= 0:
-        if i == len(free):
-            out.append(WeightSystem(tuple(cur)))
-            i -= 1
-        else:
-            for p, least, most, d, top, complete in checks[free[i]]:
-                s = sums[p]
-                if s + most < 0 or s + least > top or complete and s % d:
-                    break
-                w[p] = s // d   # final once the row is complete
+    done_fl, out, i = done[fl], [], 0
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        while i >= 0:
+            if i == len(free):
+                for v in range(bound + 1):
+                    for p, cf, d, top in last:
+                        s = sums[p] + cf * v
+                        if s < 0 or s > top or s % d:
+                            break
+                        w[p] = s // d
+                    else:
+                        w[fl] = v
+                        for p in done_fl:
+                            x = w[p]
+                            cur[p] = (shared[p].get(x) or
+                                      shared[p].setdefault(x, (order[p], x)))
+                        out.append(WeightSystem(tuple(cur)))
+                i -= 1
             else:
-                for p in done[free[i]]:
-                    v = w[p]
-                    cur[p] = (shared[p].get(v)
-                              or shared[p].setdefault(v, (order[p], v)))
-                i += 1
-                continue
-        # Step to the next assignment, backing out of sectors at bound.
-        while i >= 0 and w[free[i]] == bound:
-            for p, cf in pairs[free[i]]:
-                sums[p] -= bound * cf
-            w[free[i]] = 0
-            i -= 1
-        if i >= 0:
-            w[free[i]] += 1
-            for p, cf in pairs[free[i]]:
-                sums[p] += cf
-    return tuple(out)
+                for p, least, most, d, top, complete in checks[free[i]]:
+                    s = sums[p]
+                    if s + most < 0 or s + least > top or complete and s % d:
+                        break
+                    w[p] = s // d   # final once the row is complete
+                else:
+                    for p in done[free[i]]:
+                        x = w[p]
+                        cur[p] = (shared[p].get(x)
+                                  or shared[p].setdefault(x, (order[p], x)))
+                    i += 1
+                    continue
+            # Step to the next assignment, backing out of sectors at bound.
+            while i >= 0 and w[free[i]] == bound:
+                for p, cf in pairs[free[i]]:
+                    sums[p] -= bound * cf
+                w[free[i]] = 0
+                i -= 1
+            if i >= 0:
+                w[free[i]] += 1
+                for p, cf in pairs[free[i]]:
+                    sums[p] += cf
+        return tuple(out)
+    finally:
+        if paused:
+            gc.enable()
 
 
 def _eliminate(row, prow, j):

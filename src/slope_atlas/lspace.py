@@ -90,6 +90,8 @@ class AllButLongitude:
         return cls._instance
 
     def contains(self, x):
+        if not isinstance(x, ExtRational):
+            raise TypeError("interval membership needs a slope")
         return not x.is_zero()
 
     def __repr__(self):

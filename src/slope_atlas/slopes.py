@@ -169,6 +169,8 @@ class Region(Record):
         if len(multislope) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, "
                              f"got {len(multislope)}")
+        if not all(isinstance(x, ExtRational) for x in multislope):
+            raise TypeError("region membership needs slopes")
         for box in self.boxes:
             if all(a.contains(x) for a, x in zip(box, multislope)):
                 return True

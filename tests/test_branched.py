@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import json
 import math
 import operator
 import pickle
@@ -464,8 +466,10 @@ def test_weight_cone_shares_pairs_in_every_free_layout():
     # Every placement of the switch's sectors among 8 columns, at bound 2.
     # The pivot is the largest of its columns and completes at the next
     # largest, so the layouts include a pivot before the last free column
-    # (A = B + C), a pivot as the last column (A = B + H), and a pivot that
-    # completes at depth 0 (B = 2A).
+    # (A = B + C), a pivot as the last column (A = B + H), a pivot that
+    # completes at depth 0 (B = 2A), and a row on the last free column
+    # (G = A + H, H = 2G).  With the count, the switch check and the strict
+    # order, each result is exactly the cone.
     ids = "ABCDEFGH"
     layouts = [(big, a, b) for big, a, b in itertools.permutations(ids, 3)
                if a < b]
@@ -474,6 +478,10 @@ def test_weight_cone_shares_pairs_in_every_free_layout():
         cone = carried_weight_cone(_plain_complex(ids, switch), 2)
         # 6 (a, b) pairs with a + b <= 2, or 2 values of a with 2a <= 2.
         assert len(cone) == 1458, switch
+        rows = [tuple(w for _, w in ws.weights) for ws in cone]
+        big, a, b = map(ids.index, switch)
+        assert all(r[big] == r[a] + r[b] and max(r) <= 2 for r in rows)
+        assert all(x < y for x, y in zip(rows, rows[1:])), switch
         _assert_pairs_shared(cone)
 
 
@@ -495,6 +503,46 @@ def test_weight_cone_memory_follows_pairs_met_not_bound():
         tracemalloc.stop()
     assert cone == (WeightSystem(tuple((sid, 0) for sid in ids)),)
     assert peak < table // 20
+
+
+def test_weight_cone_keeps_the_collector_state(monkeypatch):
+    c = _plain_complex("ABCDEFGH", ("A", "B", "C"))
+    assert gc.isenabled()
+    carried_weight_cone(c, 1)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        carried_weight_cone(c, 1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+    def failing(weights):
+        raise RuntimeError("no system")
+
+    monkeypatch.setattr(branched, "WeightSystem", failing)
+    with pytest.raises(RuntimeError, match="no system"):
+        carried_weight_cone(c, 1)
+    assert gc.isenabled()
+
+
+def test_weight_cone_runs_no_collection():
+    # 46,875 systems at bound 4; with the collector running, their
+    # allocations start a young collection every few hundred.
+    c = _plain_complex("ABCDEFGH", ("A", "B", "C"))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        cone = carried_weight_cone(c, 4)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(cone) == 46875
+    assert starts == []
 
 
 _IDS = "ABCDEFG"
@@ -521,6 +569,7 @@ def _small_complexes(draw):
 @example(_plain_complex("ABC", ("C", "A", "B"), ("A", "B", "B")), 3)
 @example(_plain_complex("ABC", ("C", "A", "A"), ("C", "B", "B")), 3)
 @example(_plain_complex("ABCD", ("D", "A", "C"), ("D", "B", "C")), 3)
+@example(_plain_complex("A", ("A", "A", "A")), 2)         # no free sector
 def test_weight_cone_matches_oracle_on_random_complexes(c, bound):
     # The examples give pivots 2 and 4, big == small_a, an isolated sector,
     # a sector pinned to 0, and 2C = A + B, whose parity is settled only
@@ -528,6 +577,7 @@ def test_weight_cone_matches_oracle_on_random_complexes(c, bound):
     # paths: 2B = A back-substituted into C = A + B scales that row to
     # 2C = 3A; C = 2A and C = 2B leave 2A = 2B, divided by 2; and D = B + C
     # reduced by D = A + C cancels C as well as D, so A = B gets pivot B.
+    # A = A + A pins its only sector to 0, so no sector is free.
     cone = carried_weight_cone(c, bound)
     assert cone == weight_cone_oracle(c, bound)
     _assert_pairs_shared(cone)
@@ -632,6 +682,57 @@ def test_json_round_trip():
     for m in (Monodromy(1, (1, -1)), Monodromy(2, (1, 1, 1))):
         for c in complexes_for(m).values():
             assert BranchComplex.from_json(c.to_json()) == c
+
+
+_DROP = object()   # as a replacement value: delete the entry instead
+
+
+def _edited_complex_json(path, value):
+    """The JSON of a half disc A and a disc B = 2A, with the entry at
+    ``path`` replaced by ``value``."""
+    c = BranchComplex((Sector("A", SectorKind.HALF_DISC, True),
+                       Sector("B", SectorKind.DISC, False)),
+                      (BranchArc("C0", "B", "A", "A"),))
+    doc = json.loads(c.to_json())
+    *head, key = path
+    target = doc
+    for step in head:
+        target = target[step]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("sectors", 0, "meets_boundary"), "false", "meets_boundary"),
+    (("sectors", 0, "meets_boundary"), 0, "meets_boundary"),
+    (("sectors", 0, "meets_boundary"), _DROP, "meets_boundary"),
+    (("sectors", 0, "id"), 7, "id"),
+    (("sectors", 0, "id"), None, "id"),
+    (("sectors", 1, "kind"), ["disc"], "kind"),
+    (("sectors", 1, "kind"), "annulus", "SectorKind"),
+    (("sectors", 1), "B", "id"),
+    (("arcs", 0, "big"), 0, "big"),
+    (("arcs", 0, "b"), _DROP, "'b'"),
+    (("arcs", 0, "id"), ["C0"], "id"),
+    (("arcs", 0), None, "id"),
+    (("sectors",), {"A": "disc"}, "sectors"),
+    (("arcs",), _DROP, "arcs"),
+])
+def test_from_json_rejects_a_malformed_field(path, value, field):
+    # The first case is the string "false", which bool() reads as True.
+    with pytest.raises(ValueError, match=field):
+        BranchComplex.from_json(_edited_complex_json(path, value))
+
+
+def test_from_json_rejects_a_document_that_is_not_an_object():
+    for text in ("[]", "3", '"complex"', "null"):
+        with pytest.raises(ValueError, match="sectors"):
+            BranchComplex.from_json(text)
+    with pytest.raises(ValueError):
+        BranchComplex.from_json("{")
 
 
 def test_complex_validation():

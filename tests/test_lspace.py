@@ -17,7 +17,7 @@ from slope_atlas.lspace import (
     select_interval,
     two_component_region,
 )
-from slope_atlas.slopes import INF, ZERO, ExtRational
+from slope_atlas.slopes import INF, ZERO, CircularArc, ExtRational, Region
 
 
 def q(num, den=1):
@@ -201,6 +201,22 @@ def test_select_interval_all_but_longitude_passes_through():
     assert select_interval(interval_candidates(()), q(3)) is ALL_BUT_LONGITUDE
     with pytest.raises(ValueError, match="neither"):
         select_interval(interval_candidates(()), ZERO)   # the longitude
+
+
+@pytest.mark.parametrize("member", [
+    lambda: ALL_BUT_LONGITUDE.contains(3),
+    lambda: select_interval(interval_candidates(()), 3),
+    lambda: select_interval(interval_candidates((1,)), 3),
+    lambda: CircularArc(q(1), INF, True, True).contains(3),
+    lambda: Region(2, (), (0,)).contains((3, 4)),
+    lambda: Region(2, (), (0,)).contains((INF, 4)),
+], ids=["all-but-longitude", "select-all-but-longitude", "select-arc",
+        "arc", "region-line", "region-line-second"])
+def test_membership_of_a_non_slope_is_a_type_error(member):
+    # Every membership test refuses a non-slope the same way, rather than
+    # failing on a missing method of the int.
+    with pytest.raises(TypeError, match="membership needs"):
+        member()
 
 
 # ---------------------------------------------------------------------------
