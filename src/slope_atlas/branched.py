@@ -62,6 +62,7 @@ class BranchComplex(Record):
     __slots__ = _fields = ("sectors", "arcs")
 
     def __init__(self, sectors, arcs):
+        sectors, arcs = tuple(sectors), tuple(arcs)
         ids = [s.id for s in sectors]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate sector ids")
@@ -170,7 +171,7 @@ def build_parallel_arc_complex(m, d_sources=None):
                               big=f"A{i}S1",
                               small_a=f"A{prev}S{per}",
                               small_b=f"D{i}"))
-    return BranchComplex(tuple(sectors), tuple(arcs))
+    return BranchComplex(sectors, arcs)
 
 
 def build_coherent_arc_complex(m, o, sources=None):
@@ -189,7 +190,7 @@ def build_coherent_arc_complex(m, o, sources=None):
     return _coherent_arc_complex(m, o, sources)
 
 
-def _coherent_arc_complex(m, o, sources):
+def _coherent_arc_complex(m, o, sources=None):
     """`build_coherent_arc_complex` for an orientation known coherent."""
     k = m.k
     n = sum(abs(a) for a in m.twists)
@@ -216,7 +217,7 @@ def _coherent_arc_complex(m, o, sources):
             big, small = f"S{l}", f"S{nxt}"
         arcs.append(BranchArc(f"C{l}", big=big, small_a=small,
                               small_b=f"D{sources[l - 1]}"))
-    return BranchComplex(tuple(sectors), tuple(arcs))
+    return BranchComplex(sectors, arcs)
 
 
 def detect_sink_discs(c):
@@ -245,23 +246,13 @@ def isolated_sectors(c):
 class WeightSystem(Record):
     """Nonnegative integer weights per sector id, satisfying the switches.
 
-    ``weights`` is ((sector_id, weight), ...) in complex sector order; the
-    lookup table behind ``ws[sector_id]`` is built on first use.
+    ``weights`` is ((sector_id, weight), ...) in complex sector order.
     """
 
-    __slots__ = ("weights", "_table")
-    _fields = ("weights",)
+    __slots__ = _fields = ("weights",)
 
     def __init__(self, weights):
         _set_weights(self, weights)
-
-    def __getitem__(self, sector_id):
-        try:
-            table = self._table
-        except AttributeError:
-            table = dict(self.weights)
-            object.__setattr__(self, "_table", table)
-        return table[sector_id]
 
 
 # The slot setter, which bypasses the refusing __setattr__.
@@ -441,13 +432,13 @@ def fundamental_ray(c, bound):
     return tuple(out)
 
 
-def complexes_for(m, parallel_sources=None, coherent_sources=None):
+def complexes_for(m):
     """Convenience: the parallel complex (when a_0 != 0) and both coherent
     complexes of a monodromy."""
     out = {}
     if m.a0 != 0:
-        out["parallel"] = build_parallel_arc_complex(m, parallel_sources)
+        out["parallel"] = build_parallel_arc_complex(m)
     o1, o2 = coherent_orientations(m)
-    out["coherent"] = _coherent_arc_complex(m, o1, coherent_sources)
-    out["coherent_reversed"] = _coherent_arc_complex(m, o2, coherent_sources)
+    out["coherent"] = _coherent_arc_complex(m, o1)
+    out["coherent_reversed"] = _coherent_arc_complex(m, o2)
     return out

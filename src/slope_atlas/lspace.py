@@ -3,10 +3,11 @@
 For a knot exterior with H_1 = Z + Z_p the torsion support lives on classes
 (n, t) with n the Z-grading and t mod p; above a threshold c every class is
 in the support.  The positive difference set collects the gradings n > 0
-realized as (outside support) - (inside support) along the Z x {0} line, and
-its maximum drives the one-sided interval of L-space slopes.  For links with
-two unknotted components and linking number zero the L-space region has a
-closed-form box plus the two infinity lines.
+realized as (outside support) - (inside support) along the Z x {0} line; it
+gives the L-space slope candidates (all but the longitude, or two one-sided
+intervals from its maximum) that one known L-space slope picks from.
+For links with two unknotted components and linking number zero the L-space
+region has a closed-form box plus the two infinity lines.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def compute_d_positive(profile):
 
 
 class AllButLongitude:
-    """The slope set Q u {inf} minus the zero slope, as an interval form."""
+    """All slopes but zero: the one candidate of an empty difference set."""
 
     _instance = None
 
@@ -104,72 +105,41 @@ class AllButLongitude:
 ALL_BUT_LONGITUDE = AllButLongitude()
 
 
-class IntervalCandidates(Record):
-    """The possible L-space interval forms for one boundary component.
-
-    Either everything but the longitude (``n_h is None``), or the two
-    one-sided closed intervals [n_h, inf] and [inf, -n_h]; which side is
-    right requires one known L-space slope, see ``select_interval``.
-    """
-
-    __slots__ = _fields = ("n_h",)
-
-    def __init__(self, n_h):
-        if n_h is not None:
-            # type(), not isinstance(): bool is a subclass of int.
-            if type(n_h) is not int:
-                raise ValueError(f"interval bound {n_h!r} is not an int")
-            if n_h < 1:
-                raise ValueError(f"interval bound must be >= 1, got {n_h}")
-        self._init(n_h)
-
-    def is_all_but_longitude(self):
-        return self.n_h is None
-
-    def right_arc(self):
-        if self.n_h is None:
-            raise ValueError("no one-sided candidates: form is all-but-longitude")
-        return CircularArc(ExtRational(self.n_h), INF, True, True)
-
-    def left_arc(self):
-        if self.n_h is None:
-            raise ValueError("no one-sided candidates: form is all-but-longitude")
-        return CircularArc(INF, ExtRational(-self.n_h), True, True)
-
-
 def interval_candidates(d_positive):
-    """Interval forms from a positive difference set (sorted, in (0, c])."""
+    """The candidate L-space slope sets from a positive difference set
+    (sorted, in (0, c]).
+
+    An empty set gives the single candidate ``ALL_BUT_LONGITUDE``; otherwise,
+    with n_h the highest level, the two one-sided closed intervals
+    [n_h, inf] and [inf, -n_h], one of which ``select_interval`` picks.
+    """
     d = tuple(d_positive)
-    if not d:
-        return IntervalCandidates(None)
+    # type(), not isinstance(): bool is a subclass of int.
     if any(type(n) is not int or n < 1 for n in d):
         raise ValueError(f"difference set must hold positive ints, got {d}")
-    return IntervalCandidates(max(d))
+    if not d:
+        return (ALL_BUT_LONGITUDE,)
+    n_h = max(d)
+    return (CircularArc(ExtRational(n_h), INF, True, True),
+            CircularArc(INF, ExtRational(-n_h), True, True))
 
 
 def select_interval(candidates, known):
-    """Pick the unique candidate interval containing a known L-space slope.
+    """The one candidate slope set that holds a known L-space slope.
 
     The infinity slope lies in both one-sided candidates (it is always an
     L-space slope), so it cannot discriminate; that and a slope in no
     candidate (the zero slope, when the form is all-but-longitude) raise
-    ValueError.
+    ValueError.  A ``known`` that is not a slope raises TypeError.
     """
-    if candidates.is_all_but_longitude():
-        if ALL_BUT_LONGITUDE.contains(known):
-            return ALL_BUT_LONGITUDE
-    else:
-        right, left = candidates.right_arc(), candidates.left_arc()
-        in_right, in_left = right.contains(known), left.contains(known)
-        if in_right and in_left:
-            raise ValueError(f"known slope {known} lies in both candidate "
-                             "intervals and cannot select a side")
-        if in_right:
-            return right
-        if in_left:
-            return left
-    raise ValueError(f"known slope {known} lies in neither candidate "
-                     "interval; inconsistent input data")
+    hits = [c for c in candidates if c.contains(known)]
+    if len(hits) > 1:
+        raise ValueError(f"known slope {known} lies in both candidate "
+                         "intervals and cannot select a side")
+    if not hits:
+        raise ValueError(f"known slope {known} lies in neither candidate "
+                         "interval; inconsistent input data")
+    return hits[0]
 
 
 def two_component_region(b1, b2):

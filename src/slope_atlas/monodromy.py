@@ -211,7 +211,7 @@ def foliation_region(m):
     for box in intervals(m):
         if box not in boxes:
             boxes.append(box)
-    return Region(m.k, tuple(boxes))
+    return Region(m.k, boxes)
 
 
 def _n_template(starts):

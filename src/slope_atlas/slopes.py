@@ -154,6 +154,7 @@ class Region(Record):
     def __init__(self, dim, boxes=(), lines=()):
         if type(dim) is not int:
             raise ValueError(f"region dimension {dim!r} is not an int")
+        boxes, lines = tuple(map(tuple, boxes)), tuple(lines)
         for box in boxes:
             if len(box) != dim:
                 raise ValueError(f"box of arity {len(box)} in a "
@@ -203,7 +204,7 @@ def region_union(a, b):
     for i in b.lines:
         if i not in lines:
             lines.append(i)
-    return Region(a.dim, tuple(boxes), tuple(lines))
+    return Region(a.dim, boxes, lines)
 
 
 def _covering_boxes(region):
@@ -226,4 +227,4 @@ def region_intersect(a, b):
     boxes = dict.fromkeys(
         box for box_a, box_b in pairs
         for box in itertools.product(*map(arc_intersect, box_a, box_b)))
-    return Region(a.dim, tuple(boxes))
+    return Region(a.dim, boxes)

@@ -7,7 +7,6 @@ import itertools
 import json
 import math
 import operator
-import pickle
 import random
 import sys
 import tracemalloc
@@ -301,18 +300,6 @@ def test_complexes_for_builds_the_orientations_once(monkeypatch):
     assert len(calls) == 3   # the public builder still checks its input
 
 
-def test_weight_system_table_filled_on_first_lookup():
-    ws = WeightSystem((("D1", 0), ("S1", 2)))
-    before = (hash(ws), repr(ws))
-    assert ws["S1"] == 2 and ws["D1"] == 0
-    with pytest.raises(KeyError):
-        ws["S2"]
-    # The filled table is not part of the value.
-    assert (hash(ws), repr(ws)) == before
-    clone = pickle.loads(pickle.dumps(ws))
-    assert clone == ws and clone["S1"] == 2
-
-
 # ---------------------------------------------------------------------------
 # Sink detection.
 # ---------------------------------------------------------------------------
@@ -350,7 +337,7 @@ def test_mutated_coherent_complex_grows_a_sink_and_new_weights():
     assert len(cone) == 6
     for ws in fundamental_ray(bad, 2):
         assert ws in cone
-    assert any(ws["D1"] > 0 for ws in cone)
+    assert any(dict(ws.weights)["D1"] > 0 for ws in cone)
     assert cone == weight_cone_oracle(bad, 2)
 
 
@@ -597,8 +584,9 @@ def test_weight_cone_frozen_example():
     cone = carried_weight_cone(c, 3)
     assert len(cone) == 4
     for t, ws in enumerate(cone):
-        assert ws["D1"] == 0 and ws["D2"] == 0
-        assert ws["A1S1"] == ws["A2S2"] == t
+        table = dict(ws.weights)
+        assert table["D1"] == 0 and table["D2"] == 0
+        assert table["A1S1"] == table["A2S2"] == t
 
 
 def test_weight_cone_large_case_still_pure_ray():
@@ -654,16 +642,10 @@ def test_solutions_verify_and_check_weights_rejects_bad():
 def test_weight_system_lookup():
     c = build_parallel_arc_complex(Monodromy(3, (-1, 6, -5, 4, 3)))
     ws = carried_weight_cone(c, 2)[2]
-    text, key = repr(ws), hash(ws)
     table = dict(ws.weights)
-    assert len(table) == 80
-    for sid, weight in table.items():
-        assert ws[sid] == weight
-    with pytest.raises(KeyError):
-        ws["Z9"]
-    # The lookup table is not a field: equality, hash and repr stay.
-    assert repr(ws) == text and hash(ws) == key
-    assert ws == WeightSystem(ws.weights)
+    assert len(table) == 80 and set(table) == set(c.sector_ids())
+    clone = WeightSystem(ws.weights)
+    assert clone == ws and hash(clone) == hash(ws) and repr(clone) == repr(ws)
 
 
 def test_fundamental_ray_shape():
@@ -671,7 +653,8 @@ def test_fundamental_ray_shape():
     ray = fundamental_ray(c, 3)
     assert len(ray) == 4
     assert dict(ray[0].weights) == dict.fromkeys(c.sector_ids(), 0)
-    assert ray[3]["A2S1"] == 3 and ray[3]["D2"] == 0
+    last = dict(ray[3].weights)
+    assert last["A2S1"] == 3 and last["D2"] == 0
 
 
 # ---------------------------------------------------------------------------

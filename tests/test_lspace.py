@@ -6,11 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slope_atlas.lspace import (
     ALL_BUT_LONGITUDE,
     AllButLongitude,
-    IntervalCandidates,
     TorsionProfile,
     compute_d_positive,
     interval_candidates,
@@ -138,9 +139,7 @@ def test_in_support_outside_window():
 
 def test_empty_difference_set_gives_all_but_longitude():
     cands = interval_candidates(())
-    assert cands.is_all_but_longitude()
-    with pytest.raises(ValueError):
-        cands.right_arc()
+    assert cands == (ALL_BUT_LONGITUDE,)
     assert ALL_BUT_LONGITUDE.contains(q(5)) and ALL_BUT_LONGITUDE.contains(INF)
     assert ALL_BUT_LONGITUDE.contains(q(-1, 3))
     assert not ALL_BUT_LONGITUDE.contains(ZERO)
@@ -148,26 +147,21 @@ def test_empty_difference_set_gives_all_but_longitude():
 
 
 def test_candidate_arcs_from_highest_level():
-    cands = interval_candidates((1,))
-    assert not cands.is_all_but_longitude()
-    right, left = cands.right_arc(), cands.left_arc()
+    right, left = interval_candidates((1,))
     assert str(right) == "[1,inf]" and str(left) == "[inf,-1]"
     assert right.contains(q(1)) and right.contains(q(10)) and right.contains(INF)
     assert not right.contains(q(1, 2))
     assert left.contains(q(-1)) and left.contains(INF)
     assert not left.contains(q(-1, 2))
-    cands_high = interval_candidates((1, 2))
-    assert str(cands_high.right_arc()) == "[2,inf]"
-    assert str(cands_high.left_arc()) == "[inf,-2]"
+    right_high, left_high = interval_candidates((1, 2))
+    assert str(right_high) == "[2,inf]"
+    assert str(left_high) == "[inf,-2]"
 
 
 @pytest.mark.parametrize("n_h", [2.5, True, Fraction(3), "3"])
 def test_candidates_reject_non_int_bound(n_h):
-    # Checked on construction: a float bound would fail only later, in
-    # right_arc().  A difference set is checked level by level, since its
-    # maximum alone can be an int.
-    with pytest.raises(ValueError, match="not an int"):
-        IntervalCandidates(n_h)
+    # A difference set is checked level by level, since its maximum alone
+    # can be an int.
     with pytest.raises(ValueError, match="positive ints"):
         interval_candidates((n_h, 3))
 
@@ -176,15 +170,13 @@ def test_candidates_reject_nonpositive_levels():
     with pytest.raises(ValueError):
         interval_candidates((0, 1))
     with pytest.raises(ValueError):
-        IntervalCandidates(0)
-    with pytest.raises(ValueError):
-        IntervalCandidates(-2)
+        interval_candidates((-2,))
 
 
 def test_select_interval_frozen_examples():
     cands = interval_candidates((1,))
-    chosen = select_interval(cands, q(5))
-    assert chosen == cands.right_arc()
+    right, _ = cands
+    assert select_interval(cands, q(5)) == right
     with pytest.raises(ValueError):
         select_interval(interval_candidates((1, 2)), ZERO)   # in neither
     with pytest.raises(ValueError):
@@ -201,6 +193,39 @@ def test_select_interval_all_but_longitude_passes_through():
     assert select_interval(interval_candidates(()), q(3)) is ALL_BUT_LONGITUDE
     with pytest.raises(ValueError, match="neither"):
         select_interval(interval_candidates(()), ZERO)   # the longitude
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(d=st.lists(st.integers(1, 6), max_size=4),
+       num=st.integers(-24, 24), den=st.integers(0, 4))
+@example(d=[], num=0, den=1)       # the longitude
+@example(d=[], num=1, den=0)       # infinity
+@example(d=[2], num=0, den=1)
+@example(d=[2], num=1, den=0)
+@example(d=[2], num=-5, den=2)
+def test_select_interval_matches_fraction_oracle(d, num, den):
+    # The oracle reads the candidate forms off the level set in Fractions:
+    # every slope but 0 for an empty set, else [n_h, inf] and [inf, -n_h],
+    # which infinity alone lies in both of.  den = 0 stands for infinity.
+    known = INF if den == 0 else q(num, den)
+    f = None if den == 0 else Fraction(num, den)
+    cands = interval_candidates(sorted(set(d)))
+    if not d:
+        want = "neither" if f == 0 else str(ALL_BUT_LONGITUDE)
+    elif f is None:
+        want = "both"
+    elif f >= max(d):
+        want = f"[{max(d)},inf]"
+    elif f <= -max(d):
+        want = f"[inf,{-max(d)}]"
+    else:
+        want = "neither"
+    if want in ("both", "neither"):
+        with pytest.raises(ValueError, match=want):
+            select_interval(cands, known)
+    else:
+        chosen = select_interval(cands, known)
+        assert chosen in cands and str(chosen) == want
 
 
 @pytest.mark.parametrize("member", [

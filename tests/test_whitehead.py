@@ -12,8 +12,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from slope_atlas.branched import (BranchArc, BranchComplex, Sector, SectorKind,
-                                  WeightSystem)
-from slope_atlas.lspace import IntervalCandidates, TorsionProfile
+                                  WeightSystem, carried_weight_cone)
+from slope_atlas.lspace import TorsionProfile
 from slope_atlas.monodromy import (WL_MONODROMY, Monodromy, TrackTemplate,
                                    coherent_orientations, witness)
 from slope_atlas.slopes import (INF, ONE, POSITIVE_ARC, CircularArc,
@@ -314,8 +314,6 @@ _RECORD_CASES = [
                  ("torsion_order", "threshold", "support"),
                  "TorsionProfile(torsion_order=1, threshold=0, "
                  "support=frozenset({(0, 0)}))", id="TorsionProfile"),
-    pytest.param(lambda: IntervalCandidates(4), ("n_h",),
-                 "IntervalCandidates(n_h=4)", id="IntervalCandidates"),
     pytest.param(lambda: Monodromy(1, [1, -1]), ("a0", "twists"),
                  "Monodromy(a0=1, twists=(1, -1))", id="Monodromy"),
     pytest.param(lambda: coherent_orientations(WL_MONODROMY)[0],
@@ -374,6 +372,25 @@ def test_value_class_contract(make, fields, text):
     for clone in (pickle.loads(pickle.dumps(v)), copy.copy(v),
                   copy.deepcopy(v)):
         assert type(clone) is type(v) and clone == v and repr(clone) == text
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, iter],
+                         ids=["tuple", "list", "iterator"])
+def test_records_keep_their_containers_as_tuples(wrap):
+    # A list stored as given would leave the record mutable and unhashable,
+    # and an iterator would be stored after validation had consumed it.
+    sectors = tuple(Sector(sid, SectorKind.DISC, False) for sid in "ABC")
+    arcs = (BranchArc("C1", "A", "B", "C"),)
+    c = BranchComplex(wrap(sectors), wrap(arcs))
+    assert c == BranchComplex(sectors, arcs)
+    assert hash(c) == hash(BranchComplex(sectors, arcs))
+    assert len(carried_weight_cone(c, 2)) == 6    # w(B) + w(C) <= 2
+    box = (POSITIVE_ARC, POSITIVE_ARC)
+    r = Region(2, wrap([wrap(box)]), wrap([0]))
+    assert r == Region(2, (box,), (0,))
+    assert hash(r) == hash(Region(2, (box,), (0,)))
+    assert r.contains((INF, ONE)) and r.contains((ONE, ONE))
+    assert not r.contains((ONE, INF))
 
 
 # ---------------------------------------------------------------------------
