@@ -266,16 +266,17 @@ def carried_weight_cone(c, bound):
     ``bound`` must be an ``int``.  The switch equations are row-reduced in
     integers to rows d * w[pivot] = sum(c_i * w[free_i]) with d > 0, each
     elimination updating its row dict in place.  Each free column gets two
-    tables over the rows that use it: the (pivot, c_i) steps of the row
-    sums, and the checks read at each visit.  The free sectors are set to
-    0..bound in order, depth first.  A complete row keeps its pivot weight
-    only when integral and in 0..bound.  An incomplete row cuts the branch
-    when the unset sectors, which add between bound * (sum of c_i < 0) and
-    bound * (sum of c_i > 0), can no longer bring it into 0..d * bound.  The
-    cut is exact: it tests a relaxation, and integrality only on complete
-    rows.  Every row on the last free column completes there, so one loop
-    sets that column to 0..bound and checks those rows on sums + c * value
-    alone.  With no free sector the only system is all zero.
+    tables over the rows that use it, listed by its depth in the search:
+    the (pivot, c_i) steps of the row sums, and the checks read at each
+    visit.  The free sectors are set to 0..bound in order, depth first.
+    A complete row keeps its pivot weight only when integral and in
+    0..bound.  An incomplete row cuts the branch when the unset sectors,
+    which add between bound * (sum of c_i < 0) and bound * (sum of c_i > 0),
+    can no longer bring it into 0..d * bound.  The cut is exact: it tests a
+    relaxation, and integrality only on complete rows.  Every row on the
+    last free column completes there, so one loop sets that column to
+    0..bound and checks those rows on sums + c * value alone.  With no free
+    sector the only system is all zero.
 
     The search order is the sorted order, so no sort is needed.  A row's
     pivot is its largest column when the row is inserted, and
@@ -284,8 +285,9 @@ def carried_weight_cone(c, bound):
     first differ at a free column, and the search visits free columns in
     ascending order with ascending values.  Each (sector id, weight) pair
     is one tuple, shared by every system of the result that holds it; a
-    system copies the pairs kept on the branch.  A free sector's pair, and
-    the pivot pair of each row complete at its depth, is interned once
+    system copies the pairs kept on the branch into its slot, set on an
+    instance allocated with no call to ``__init__``.  A free sector's pair,
+    and the pivot pair of each row complete at its depth, is interned once
     every row checked there passes.  A weight that a check cuts is never
     interned, so the intern dicts hold accepted pairs, not one per value up
     to bound.
@@ -321,13 +323,16 @@ def carried_weight_cone(c, bound):
     if not free:   # every row is d * w[pivot] = 0
         return (WeightSystem(tuple((sid, 0) for sid in order)),)
     fl = free.pop()   # the last free column, run by the leaf loop
-    # pairs[f]: (pivot, c) per row with c != 0 on f, as the sums step.
-    # checks[f]: (pivot, least, most, d, d * bound, complete) for the same
-    # rows in the same order; the free sectors after f add least..most.
+    n, shared = len(free), [{} for _ in order]   # weight -> (id, weight)
+    depth = {f: i for i, f in enumerate(free + [fl])}
+    # pairs[i]: (pivot, c) per row with c != 0 on free[i], as the sums step.
+    # checks[i]: (pivot, least, most, d, d * bound, complete) for the same
+    # rows in the same order; the free sectors after free[i] add least..most.
     # last: (pivot, c, d, d * bound) per row on fl, all complete there.
-    # done[f]: f and the pivots of the rows that complete at f.
-    pairs, checks = {f: [] for f in free}, {f: [] for f in free}
-    last, done = [], {f: [f] for f in free + [fl]}
+    # done[i]: (column, intern dict, id) of free[i] and of the pivots of the
+    # rows that complete at depth i; done[n] holds the pivots only.
+    pairs, checks, last = [[] for _ in free], [[] for _ in free], []
+    done = [[(f, shared[f], order[f])] for f in free] + [[]]
     for p, row in reduced.items():
         d = row.pop(p)
         least = most = 0
@@ -336,23 +341,24 @@ def carried_weight_cone(c, bound):
             if f == fl:
                 last.append((p, -row[f], d, d * bound))
             else:
-                pairs[f].append((p, -row[f]))
-                checks[f].append((p, least, most, d, d * bound,
-                                  f == tail[0]))
+                pairs[depth[f]].append((p, -row[f]))
+                checks[depth[f]].append((p, least, most, d, d * bound,
+                                         f == tail[0]))
             least -= bound * max(row[f], 0)
             most -= bound * min(row[f], 0)
         if tail:
-            done[tail[0]].append(p)
+            done[depth[tail[0]]].append((p, shared[p], order[p]))
     sums, w = [0] * len(order), [0] * len(order)   # sums: per pivot row
-    shared = [{} for _ in order]   # per sector: weight -> (id, weight)
     cur = list(zip(order, w))   # pivots of no free sector stay (id, 0)
-    done_fl, out, i = done[fl], [], 0
+    done_fl, shared_fl, id_fl = done[n], shared[fl], order[fl]
+    out, i = [], 0
+    new, set_weights, append = object.__new__, _set_weights, out.append
     paused = gc.isenabled()
     if paused:
         gc.disable()
     try:
         while i >= 0:
-            if i == len(free):
+            if i == n:
                 for v in range(bound + 1):
                     for p, cf, d, top in last:
                         s = sums[p] + cf * v
@@ -360,35 +366,36 @@ def carried_weight_cone(c, bound):
                             break
                         w[p] = s // d
                     else:
-                        w[fl] = v
-                        for p in done_fl:
+                        cur[fl] = (shared_fl.get(v)
+                                   or shared_fl.setdefault(v, (id_fl, v)))
+                        for p, sh, sid in done_fl:
                             x = w[p]
-                            cur[p] = (shared[p].get(x) or
-                                      shared[p].setdefault(x, (order[p], x)))
-                        out.append(WeightSystem(tuple(cur)))
+                            cur[p] = sh.get(x) or sh.setdefault(x, (sid, x))
+                        ws = new(WeightSystem)
+                        set_weights(ws, tuple(cur))
+                        append(ws)
                 i -= 1
             else:
-                for p, least, most, d, top, complete in checks[free[i]]:
+                for p, least, most, d, top, complete in checks[i]:
                     s = sums[p]
                     if s + most < 0 or s + least > top or complete and s % d:
                         break
                     w[p] = s // d   # final once the row is complete
                 else:
-                    for p in done[free[i]]:
+                    for p, sh, sid in done[i]:
                         x = w[p]
-                        cur[p] = (shared[p].get(x)
-                                  or shared[p].setdefault(x, (order[p], x)))
+                        cur[p] = sh.get(x) or sh.setdefault(x, (sid, x))
                     i += 1
                     continue
             # Step to the next assignment, backing out of sectors at bound.
             while i >= 0 and w[free[i]] == bound:
-                for p, cf in pairs[free[i]]:
+                for p, cf in pairs[i]:
                     sums[p] -= bound * cf
                 w[free[i]] = 0
                 i -= 1
             if i >= 0:
                 w[free[i]] += 1
-                for p, cf in pairs[free[i]]:
+                for p, cf in pairs[i]:
                     sums[p] += cf
         return tuple(out)
     finally:

@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import os
 import re
 import stat
@@ -106,11 +105,16 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _emit_json(doc, out_path):
+    import json   # only the commands that write JSON load it
+    _emit(json.dumps(doc, indent=2) + "\n", out_path)
+
+
 def cmd_classify(args):
     s1 = parse_slope(args.s1)
     s2 = parse_slope(args.s2)
     verdict = classify(s1, s2)
-    _emit(json.dumps(verdict.to_json_dict(), indent=2) + "\n", args.out)
+    _emit_json(verdict.to_json_dict(), args.out)
     return 0
 
 
@@ -135,7 +139,7 @@ def cmd_monodromy(args):
             ],
             "foliation_region": _region_json(region),
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit_json(doc, args.out)
         return 0
     lines = [f"monodromy: {m}",
              "labels: " + " ".join(str(lab) for lab in labs),
@@ -165,7 +169,7 @@ def cmd_region(args):
     if args.json:
         doc = {"lspace_region": _region_json(lspace),
                "foliation_region": _region_json(foliation)}
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit_json(doc, args.out)
         return 0
     lines = [f"L-space region (b1={b1}, b2={b2}):"]
     lines.extend(_region_lines(lspace))
@@ -291,21 +295,21 @@ _PLOT_COLORS = {"lspace": "red", "foliation": "blue", "non-qhs": "gray"}
 
 
 def svg_coord(value, lo, hi, flip=False):
-    """Deterministic canvas coordinate string for an axis value."""
+    """Canvas coordinate string of the finite slope ``value`` on the axis
+    from slope ``lo`` to slope ``hi``: 40 + 560 * (value - lo) / (hi - lo),
+    or its mirror, as one int/int division, which rounds correctly."""
     if hi == lo:
-        from fractions import Fraction
-        frac = Fraction(1, 2)
-    else:
-        frac = (value - lo) / (hi - lo)
-    if flip:
-        frac = 1 - frac
-    return f"{float(40 + frac * 560):.2f}"
+        return "320.00"
+    span = (hi.num * lo.den - lo.num * hi.den) * value.den
+    off = (value.num * lo.den - lo.num * value.den) * hi.den
+    top = 600 * span - 560 * off if flip else 40 * span + 560 * off
+    return f"{top / span:.2f}"
 
 
 def _svg_scatter(values, facts, rows):
     """SVG scatter with ``rows[facts[i]][j]`` drawn at (values[i],
-    values[j]); a row may run past ``values``."""
-    lo, hi = min(values), max(values)
+    values[j]), ``values`` sorted; a row may run past ``values``."""
+    lo, hi = values[0], values[-1]
     xs = [svg_coord(v, lo, hi) for v in values]
     ys = [svg_coord(v, lo, hi, flip=True) for v in values]
     # Each row's circles differ only in cx, so their tails are formatted
@@ -348,9 +352,8 @@ def cmd_plot(args):
         blocks = [a + ("\n" + a).join(tails[f]) for a, f in zip(names, facts)]
         _emit("s1\ts2\tclass\n" + "\n".join(blocks) + "\n", args.out)
         return 0
-    from fractions import Fraction
     # Infinity sorts last, so the finite slopes are a prefix of the grid.
-    finite = [Fraction(s.num, s.den) for s in slopes if s.is_finite()]
+    finite = slopes[:-1] if slopes[-1].is_infinite() else slopes
     if not finite:
         raise ValueError("no finite slope pairs to plot")
     _emit(_svg_scatter(finite, facts[:len(finite)], classes), args.out)

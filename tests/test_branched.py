@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
 import json
 import math
 import operator
+import pickle
 import random
 import sys
 import tracemalloc
@@ -504,13 +506,38 @@ def test_weight_cone_keeps_the_collector_state(monkeypatch):
     finally:
         gc.enable()
 
-    def failing(weights):
+    def failing(ws, weights):
         raise RuntimeError("no system")
 
-    monkeypatch.setattr(branched, "WeightSystem", failing)
+    # The search sets each system's slot itself, so the failure goes there.
+    monkeypatch.setattr(branched, "_set_weights", failing)
     with pytest.raises(RuntimeError, match="no system"):
         carried_weight_cone(c, 1)
     assert gc.isenabled()
+
+
+def test_weight_cone_systems_meet_the_record_contract():
+    # The search allocates its systems without WeightSystem.__init__, so
+    # they must still meet the contract of test_value_class_contract.
+    cone = carried_weight_cone(_plain_complex("ABCDEFGH", ("A", "B", "C")), 2)
+    assert len(cone) == 1458
+    for ws in cone:
+        made = WeightSystem(ws.weights)
+        assert type(ws) is WeightSystem
+        assert ws == made and not ws != made
+        assert hash(ws) == hash(made) == hash((ws.weights,))
+        assert repr(ws) == repr(made) == (
+            f"WeightSystem(weights={ws.weights!r})")
+        assert ws != ws.weights and sys.getsizeof(ws) == sys.getsizeof(made)
+    for ws in (cone[0], cone[729], cone[-1]):
+        with pytest.raises(AttributeError):
+            ws.weights = ws.weights
+        with pytest.raises(AttributeError):
+            del ws.weights
+        for clone in (pickle.loads(pickle.dumps(ws)), copy.copy(ws),
+                      copy.deepcopy(ws)):
+            assert type(clone) is WeightSystem and clone == ws
+            assert repr(clone) == repr(ws)
 
 
 def test_weight_cone_runs_no_collection():

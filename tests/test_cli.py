@@ -6,6 +6,7 @@ import errno
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from slope_atlas import cli
-from slope_atlas.slopes import MAX_SLOPE_TOKEN, parse_slope
+from slope_atlas.slopes import MAX_SLOPE_TOKEN, ExtRational, parse_slope
 from slope_atlas.whitehead import _facts, classify, plot_class
 
 
@@ -574,16 +575,19 @@ def _loaded_after(runs, then=""):
     """Exit codes of ``cli.main`` on each argv in ``runs``, run in process
     after a fresh import, and the modules loaded once the statements in
     ``then`` have run too."""
+    # Each argv travels as one argument joined by "\x1f", so the child
+    # imports no json of its own.
     script = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "import slope_atlas.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), \\\n"
         "        contextlib.redirect_stderr(io.StringIO()):\n"
-        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "    codes = [cli.main(arg.split('\\x1f')) for arg in sys.argv[1:]]\n"
         + then + "print(*codes, *sys.modules)\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", script,
+                           *("\x1f".join(argv) for argv in runs)],
                           capture_output=True, text=True, env=env, check=True)
     words = proc.stdout.split()
     return words[:len(runs)], set(words[len(runs):])
@@ -595,8 +599,7 @@ _REGION_MODULES = ("dataclasses", "slope_atlas.slopes", "slope_atlas.lspace",
 
 def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
     # The verdict commands, run in process after the import, load neither
-    # the region modules nor dataclasses, and apart from the SVG plot
-    # neither fractions nor decimal.
+    # the region modules nor dataclasses, nor fractions or decimal.
     src = tmp_path / "in.csv"
     src.write_text("id,s1,s2,label\na,1,2,no\nb,-3,5/6,yes\nc,x,1,no\n")
     codes, loaded = _loaded_after(
@@ -610,8 +613,21 @@ def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
     codes, loaded = _loaded_after(
         [["plot", "--bounds", "-2:2,1:2", "--format", "svg"]])
     assert codes == ["0"]
-    for name in _REGION_MODULES:
+    for name in _REGION_MODULES + ("fractions", "decimal"):
         assert name not in loaded
+
+
+def test_only_json_output_loads_json(tmp_path):
+    src = tmp_path / "in.csv"
+    src.write_text("id,s1,s2\na,1,2\n")
+    codes, loaded = _loaded_after(
+        [["batch", str(src), "--out", str(tmp_path / "out.csv")],
+         ["plot", "--bounds", "-2:2,1:2"],
+         ["plot", "--bounds", "-2:2,1:2", "--format", "svg"]])
+    assert codes == ["0", "0", "0"]
+    assert "json" not in loaded
+    codes, loaded = _loaded_after([["classify", "--", "-3", "5/6"]])
+    assert codes == ["0"] and "json" in loaded
 
 
 def test_region_commands_and_cone_search_leave_dataclasses_unloaded():
@@ -674,9 +690,9 @@ def test_plot_svg_places_lspace_point_in_red(tmp_path):
     assert run_cli("plot", "--bounds", "1:2,1:2", "--format", "svg",
                    "--out", str(out)) == 0
     text = out.read_text()
-    lo, hi = Fraction(1, 2), Fraction(2)
-    cx = cli.svg_coord(Fraction(1), lo, hi)
-    cy = cli.svg_coord(Fraction(1), lo, hi, flip=True)
+    lo, hi = parse_slope("1/2"), parse_slope("2")
+    cx = cli.svg_coord(parse_slope("1"), lo, hi)
+    cy = cli.svg_coord(parse_slope("1"), lo, hi, flip=True)
     assert f'<circle cx="{cx}" cy="{cy}" r="3" fill="red"/>' in text
     assert 'fill="blue"' in text
 
@@ -686,13 +702,40 @@ def test_plot_svg_places_foliation_point_in_blue(tmp_path):
     assert run_cli("plot", "--bounds", "3:5,-1:6", "--format", "svg",
                    "--out", str(out)) == 0
     text = out.read_text()
-    finite = [Fraction(s.num, s.den)
-              for s in cli.grid_slopes(cli.parse_bounds("3:5,-1:6"), None)
+    finite = [s for s in cli.grid_slopes(cli.parse_bounds("3:5,-1:6"), None)
               if s.is_finite()]
     lo, hi = min(finite), max(finite)
-    cx = cli.svg_coord(Fraction(-3), lo, hi)
-    cy = cli.svg_coord(Fraction(5, 6), lo, hi, flip=True)
+    cx = cli.svg_coord(parse_slope("-3"), lo, hi)
+    cy = cli.svg_coord(parse_slope("5/6"), lo, hi, flip=True)
     assert f'<circle cx="{cx}" cy="{cy}" r="3" fill="blue"/>' in text
+
+
+def _fraction_coord(value, lo, hi, flip=False):
+    """The SVG coordinate string in exact Fraction arithmetic: a reference
+    for `cli.svg_coord`, which works in integers."""
+    frac = Fraction(1, 2) if hi == lo else (value - lo) / (hi - lo)
+    return f"{float(40 + (1 - frac if flip else frac) * 560):.2f}"
+
+
+def test_svg_coord_matches_fraction_arithmetic():
+    # Half the values put the exact coordinate on a decimal tie x.xx5,
+    # where a result off by one unit in the last place can print
+    # differently.
+    rng = random.Random(5)
+    for j in range(2000):
+        lo, value, hi = sorted(
+            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            for _ in range(3))
+        if j % 2:
+            tie = Fraction(2 * rng.randint(8000, 119999) + 1, 200)
+            value = lo + (tie - 40) / 560 * (hi - lo)
+        if rng.random() < 0.05:
+            value = hi = lo
+        slopes = [ExtRational(x.numerator, x.denominator)
+                  for x in (value, lo, hi)]
+        for flip in (False, True):
+            assert cli.svg_coord(*slopes, flip=flip) == _fraction_coord(
+                value, lo, hi, flip)
 
 
 def _plot_pairwise(bounds, max_den, fmt):
@@ -714,8 +757,8 @@ def _plot_pairwise(bounds, max_den, fmt):
              '<rect width="640" height="640" fill="white"/>',
              '<rect x="40" y="40" width="560" height="560" fill="none" '
              'stroke="black"/>']
-    lines += [f'<circle cx="{cli.svg_coord(s1, lo, hi)}" '
-              f'cy="{cli.svg_coord(s2, lo, hi, flip=True)}" r="3" '
+    lines += [f'<circle cx="{_fraction_coord(s1, lo, hi)}" '
+              f'cy="{_fraction_coord(s2, lo, hi, flip=True)}" r="3" '
               f'fill="{colors[cls]}"/>' for s1, s2, cls in finite]
     lines += ['<text x="40" y="24" font-size="12">'
               'red: lspace  blue: foliation  gray: non-qhs</text>', "</svg>"]
