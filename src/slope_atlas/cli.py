@@ -30,6 +30,11 @@ from .whitehead import (
 
 _BOUNDS_RE = re.compile("({0}):({0}),({0}):({0})".format(INT_RE.pattern))
 
+# Most distinct slope tokens a batch run keeps parsed at once.
+_BATCH_TOKENS = 4096
+# Text csv.writer leaves unquoted: no comma, quote or newline.
+_csv_plain = re.compile('[^,"\r\n]*').fullmatch
+
 # Largest plot grid, in (numerator, denominator) points; the pair count
 # grows with the square of it.
 MAX_GRID_POINTS = 1024
@@ -166,14 +171,17 @@ def cmd_region(args):
         raise ValueError("framings must be nonnegative integers")
     lspace = two_component_region(b1, b2)
     foliation = wl_foliation_region()
+    # The foliation side ignores the framings: it is the Whitehead link's.
+    whose = " (Whitehead link, b1=0, b2=0)" if b1 or b2 else ""
     if args.json:
         doc = {"lspace_region": _region_json(lspace),
-               "foliation_region": _region_json(foliation)}
+               "foliation_region": _region_json(foliation),
+               **({"foliation_link": "whitehead"} if whose else {})}
         _emit_json(doc, args.out)
         return 0
     lines = [f"L-space region (b1={b1}, b2={b2}):"]
     lines.extend(_region_lines(lspace))
-    lines.append("taut-foliation region:")
+    lines.append(f"taut-foliation region{whose}:")
     lines.extend(_region_lines(foliation))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -182,23 +190,10 @@ def cmd_region(args):
 def parse_batch_header(row):
     """Validate the batch header; returns True when a label column is
     present."""
-    if row == ["id", "s1", "s2"]:
-        return False
-    if row == ["id", "s1", "s2", "label"]:
-        return True
+    if row in (["id", "s1", "s2"], ["id", "s1", "s2", "label"]):
+        return len(row) == 4
     raise ValueError(f"bad header {shown_token(','.join(row))!r}: expected "
                      "'id,s1,s2' or 'id,s1,s2,label'")
-
-
-def parse_batch_row(row, has_label):
-    width = 4 if has_label else 3
-    if len(row) != width:
-        raise ValueError(f"expected {width} fields, got {len(row)}")
-    ident = row[0].strip()
-    s1 = parse_slope(row[1])
-    s2 = parse_slope(row[2])
-    label = row[3].strip() if has_label else None
-    return ident, s1, s2, label
 
 
 @functools.cache
@@ -214,22 +209,23 @@ def _batch_cells(f1, f2):
 
 def cmd_batch(args):
     """Classify the input CSV row by row in one pass; memory stays flat."""
-    header = ["id", "s1", "s2", "qhs", "h1", "h2", "lspace", "foliation",
-              "euler_zero", "left_orderable"]
+    header = "id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable"
     tally = dict.fromkeys(["lspace", "foliation", "non-qhs"] + [
         f"left-orderable {k}" for k in ("yes", "no", "unknown", "na")], 0)
     done = agree = failures = 0
+    # Stripped slope token -> (str(s), str(abs(s.num)), _facts(s)), or the
+    # bare slope until a row with it parses; cleared when full.
+    seen = {}
+    get, put = seen.get, seen.setdefault
     with open(args.input, newline="") as fh:
         rows = csv.reader(fh)
         first = next(rows, None)
         if first is None:
             raise ValueError(f"{args.input}: empty file, missing header")
         has_label = parse_batch_header(first)
-        if has_label:
-            header += ["label", "agrees"]
         with _atomic_out(args.out, newline="") as out:
             writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(header)
+            out.write(header + (",label,agrees\n" if has_label else "\n"))
             # A quoted field may span lines, so each record is numbered by
             # the first physical line after the previous record.
             end = rows.line_num
@@ -237,24 +233,41 @@ def cmd_batch(args):
                 lineno, end = end + 1, rows.line_num
                 if not row:
                     continue
+                if len(seen) >= _BATCH_TOKENS:
+                    seen.clear()
                 try:
-                    ident, s1, s2, label = parse_batch_row(row, has_label)
+                    if len(row) != len(first):
+                        raise ValueError(
+                            f"expected {len(first)} fields, got {len(row)}")
+                    t1, t2 = row[1].strip(), row[2].strip()
+                    c1 = get(t1) or put(t1, parse_slope(row[1]))
+                    c2 = get(t2) or put(t2, parse_slope(row[2]))
                 except ValueError as exc:
                     failures += 1
                     print(f"{args.input}:{lineno}: {exc}", file=sys.stderr)
                     continue
+                # The rules run outside the try: their errors abort the run.
+                if c1.__class__ is ExtRational:
+                    c1 = seen[t1] = (str(c1), str(abs(c1.num)), _facts(c1))
+                if c2.__class__ is ExtRational:
+                    c2 = seen[t2] = (str(c2), str(abs(c2.num)), _facts(c2))
                 qhs, lspace, foliation, euler, lo, cls = _batch_cells(
-                    _facts(s1), _facts(s2))
+                    c1[2], c2[2])
                 done += 1
                 tally[cls] += 1
                 tally["left-orderable " + lo] += 1
-                out_row = [ident, str(s1), str(s2), qhs, str(abs(s1.num)),
-                           str(abs(s2.num)), lspace, foliation, euler, lo]
+                out_row = [row[0].strip(), c1[0], c2[0], qhs, c1[1], c2[1],
+                           lspace, foliation, euler, lo]
                 if has_label:
+                    label = row[3].strip()
                     ok = label == lo
                     agree += ok
                     out_row += [label, "true" if ok else "false"]
-                writer.writerow(out_row)
+                # The output row needs csv quoting only if the input row does.
+                if _csv_plain("".join(row)):
+                    out.write(",".join(out_row) + "\n")
+                else:
+                    writer.writerow(out_row)
     print(f"rows: {done}")
     for key, n in tally.items():
         print(f"{key}: {n}")

@@ -69,18 +69,15 @@ class ExtRational(Record):
         if type(num) is not int or type(den) is not int:
             raise ValueError("slope components must be integers, got "
                              f"({num!r}, {den!r})")
-        if den <= 0 or math.gcd(num, den) != 1:
-            if num == 0 and den == 0:
-                raise ValueError("0/0 is not a slope")
-            if den < 0:
-                num, den = -num, -den
+        g = math.gcd(num, den)
+        if den <= 0 or g != 1:
             if den == 0:
-                num = 1
-            else:
-                g = math.gcd(abs(num), den)
-                if g > 1:
-                    num //= g
-                    den //= g
+                if num == 0:
+                    raise ValueError("0/0 is not a slope")
+                num = g = 1
+            elif den < 0:
+                g = -g
+            num, den = num // g, den // g
         _set_num(self, num)
         _set_den(self, den)
 

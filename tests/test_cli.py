@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import csv
 import errno
 import gc
+import io
 import json
 import os
 import random
@@ -15,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from slope_atlas import cli
-from slope_atlas.slopes import MAX_SLOPE_TOKEN, ExtRational, parse_slope
+from slope_atlas.slopes import (MAX_SLOPE_TOKEN, CircularArc, ExtRational,
+                                Region, parse_slope, region_intersect)
 from slope_atlas.whitehead import _facts, classify, plot_class
 
 
@@ -251,6 +254,49 @@ def test_monodromy_and_region_output_pinned(capsys, argv, pinned):
     assert capsys.readouterr().out == pinned
 
 
+def _region_from_json(doc):
+    return Region(doc["dim"], [
+        [CircularArc(parse_slope(a["start"]), parse_slope(a["end"]),
+                     a["start_closed"], a["end_closed"]) for a in box]
+        for box in doc["boxes"]], doc["lines"])
+
+
+@pytest.mark.parametrize("b1, b2", [(0, 0), (0, 1), (2, 0), (1, 2), (3, 3)])
+def test_region_labels_the_foliation_side_as_the_whitehead_links(
+        capsys, b1, b2):
+    # The foliation region does not depend on the framings: it is the
+    # Whitehead link's, and says so whenever the framings are not zero.
+    assert run_cli("region", "--b1", str(b1), "--b2", str(b2)) == 0
+    text = capsys.readouterr().out
+    assert run_cli("region", "--b1", str(b1), "--b2", str(b2), "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["foliation_region"] == json.loads(_REGION_JSON)[
+        "foliation_region"]
+    if b1 or b2:
+        assert ("taut-foliation region (Whitehead link, b1=0, b2=0):"
+                in text.splitlines())
+        assert doc["foliation_link"] == "whitehead"
+    else:
+        assert text == _REGION_TEXT
+        assert "foliation_link" not in doc
+
+
+def test_region_printed_regions_are_disjoint_for_every_framing(capsys):
+    # Larger framings only shrink the L-space box, so the printed L-space
+    # region never meets the printed foliation region.
+    for b1 in range(6):
+        for b2 in range(6):
+            assert run_cli("region", "--b1", str(b1), "--b2", str(b2),
+                           "--json") == 0
+            doc = json.loads(capsys.readouterr().out)
+            lspace = _region_from_json(doc["lspace_region"])
+            foliation = _region_from_json(doc["foliation_region"])
+            assert lspace.contains((ExtRational(2 * b1 + 1),
+                                    ExtRational(2 * b2 + 1)))
+            both = region_intersect(lspace, foliation)
+            assert not both.boxes and not both.lines, (b1, b2)
+
+
 def test_region_rejects_negative_framing(capsys):
     assert run_cli("region", "--b1", "-1") == 2
     assert "nonnegative" in capsys.readouterr().err
@@ -461,31 +507,68 @@ def test_batch_csv_error_exits_2(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["in.csv"]
 
 
-def test_batch_memory_flat_in_row_count(tmp_path):
-    # Peak RSS of a fresh interpreter running batch must not grow with the
-    # row count: rows are streamed, not collected.
+def _batch_peak_mib(src, out):
+    """Exit code and peak RSS in MiB of a fresh interpreter running batch.
+    On Linux the peak is VmHWM: ru_maxrss would not do there, since a
+    child started by fork or vfork reports the parent's peak when that is
+    the larger, as this test process's usually is."""
     script = (
         "import resource, sys\n"
         "from slope_atlas import cli\n"
         "rc = cli.main(['batch', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        peak = int(fh.read().split('VmHWM:')[1].split()[0])\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    peak //= 1024 if sys.platform == 'darwin' else 1\n"
+        "print(rc, peak)\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, str(src), str(out)],
+                          capture_output=True, text=True, env=env, check=True)
+    rc, peak_kib = proc.stdout.split()[-2:]
+    return rc, int(peak_kib) / 1024
+
+
+def test_batch_memory_flat_in_row_count(tmp_path):
+    # Peak RSS of a fresh interpreter running batch must not grow with the
+    # row count: rows are streamed, not collected.
     peaks = {}
     for n in (2_000, 20_000):
         src = tmp_path / f"in{n}.csv"
         src.write_text("id,s1,s2\n" + "".join(
             f"r{i},{i % 41 - 20}/{i % 13 + 1},{i % 37 - 18}/{i % 11 + 1}\n"
             for i in range(n)))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(src), str(tmp_path / "o.csv")],
-            capture_output=True, text=True, env=env, check=True)
-        rc, maxrss = proc.stdout.split()[-2:]
+        rc, peaks[n] = _batch_peak_mib(src, tmp_path / "o.csv")
         assert rc == "0"
-        # ru_maxrss is in KiB on Linux and in bytes on macOS.
-        peaks[n] = int(maxrss) / (1024 * 1024 if sys.platform == "darwin"
-                                  else 1024)
     assert peaks[20_000] - peaks[2_000] < 5, peaks
+
+
+def test_batch_memory_flat_in_distinct_and_padded_tokens(tmp_path):
+    # Every token below is new.  The token table is keyed on the stripped
+    # token and emptied when full, so neither 8 KiB of padding per row nor
+    # 80,000 distinct tokens make peak RSS grow.
+    pad = " " * 4096
+
+    def write(name, n, padded):
+        src = tmp_path / name
+        with open(src, "w") as fh:
+            fh.write("id,s1,s2\n")
+            for i in range(n):
+                s1 = f"{pad}{i + 1}/{i + 2}{pad}" if padded else f"{i}/7"
+                fh.write(f"r{i},{s1},-{i + 3}/{2 * i + 1}\n")
+        return src
+
+    runs = {"small": write("small.csv", 200, True),
+            "padded": write("padded.csv", 2_000, True),
+            "distinct": write("distinct.csv", 40_000, False)}
+    peaks = {}
+    for name, src in runs.items():
+        rc, peaks[name] = _batch_peak_mib(src, tmp_path / "o.csv")
+        assert rc == "0"
+    assert peaks["padded"] - peaks["small"] < 5, peaks
+    assert peaks["distinct"] - peaks["small"] < 5, peaks
 
 
 def test_batch_round_trip_consistency(tmp_path, capsys):
@@ -518,36 +601,54 @@ ODD_SPELLINGS = ("0/-7", "-6/-4", "2/-1", "-4/0", "1000001/1000000",
                  "1000000/1000001", "-1000000/2000001", "999999/-1000000")
 
 
-def _pairwise_batch(text):
-    """Output lines and stdout lines of `batch` on a labelled CSV, each row
-    rendered from its own `classify` verdict; malformed rows are skipped."""
-    out = ["id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable,"
-           "label,agrees"]
+def _pairwise_batch(path):
+    """Output text, stdout lines and stderr lines of `batch` on the
+    labelled CSV at ``path``: each row is read and written by the csv module
+    and rendered from its own `classify` verdict, and each bad row is
+    reported with the line its record starts on."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "s1", "s2", "qhs", "h1", "h2", "lspace",
+                     "foliation", "euler_zero", "left_orderable", "label",
+                     "agrees"])
     classes = dict.fromkeys(["lspace", "foliation", "non-qhs"], 0)
     orderable = dict.fromkeys(["yes", "no", "unknown", "na"], 0)
     agree = 0
-    for line in text.splitlines()[1:]:
-        ident, t1, t2, label = line.split(",")
-        try:
-            s1, s2 = parse_slope(t1), parse_slope(t2)
-        except ValueError:
-            continue
-        v = classify(s1, s2)
-        classes[plot_class(v)] += 1
-        orderable[v.left_orderable.value] += 1
-        ok = label == v.left_orderable.value
-        agree += ok
-        out.append(",".join([
-            ident, str(s1), str(s2), "true" if v.is_qhs else "false",
-            str(v.homology[0]), str(v.homology[1]), v.lspace.value,
-            v.taut_foliation.value, v.euler_vanishing.value,
-            v.left_orderable.value, label, "true" if ok else "false"]))
-    rows = len(out) - 1
+    errors = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        end = reader.line_num
+        for fields in reader:
+            lineno, end = end + 1, reader.line_num
+            if not fields:
+                continue
+            try:
+                if len(fields) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(fields)}")
+                s1, s2 = parse_slope(fields[1]), parse_slope(fields[2])
+            except ValueError as exc:
+                errors.append(f"{path}:{lineno}: {exc}")
+                continue
+            ident, label = fields[0].strip(), fields[3].strip()
+            v = classify(s1, s2)
+            classes[plot_class(v)] += 1
+            orderable[v.left_orderable.value] += 1
+            ok = label == v.left_orderable.value
+            agree += ok
+            writer.writerow([
+                ident, str(s1), str(s2), "true" if v.is_qhs else "false",
+                str(v.homology[0]), str(v.homology[1]), v.lspace.value,
+                v.taut_foliation.value, v.euler_vanishing.value,
+                v.left_orderable.value, label, "true" if ok else "false"])
+    rows = sum(classes.values())
     summary = [f"rows: {rows}"]
     summary += [f"{k}: {n}" for k, n in classes.items()]
     summary += [f"left-orderable {k}: {n}" for k, n in orderable.items()]
     summary.append(f"label agreement: {agree}/{rows}")
-    return out, summary
+    if errors:
+        errors.append(f"failed rows: {len(errors)}")
+    return out.getvalue(), summary, errors
 
 
 def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys):
@@ -565,10 +666,139 @@ def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         f"{src}:42: invalid slope token '1/0/2'", "failed rows: 1"]
-    want_rows, want_summary = _pairwise_batch(text)
-    assert out.read_text().splitlines() == want_rows
+    want_out, want_summary, want_err = _pairwise_batch(src)
+    assert out.read_text() == want_out
     assert captured.out.splitlines() == want_summary
+    assert captured.err.splitlines() == want_err
     assert cli._batch_cells.cache_info().currsize <= 49
+
+
+def _distinct_tokens(rng, n):
+    """``n`` valid slope tokens, no two alike once stripped."""
+    tokens = {}
+    while len(tokens) < n:
+        p, q = rng.randint(-10**6, 10**6), rng.randint(1, 10**6)
+        tokens[rng.choice((f"{p}/{q}", f"{p}/-{q}", str(p)))] = None
+    return list(tokens)
+
+
+def _expected_parse_calls(pairs, cap):
+    """`parse_slope` calls a batch run makes on rows of (s1, s2) fields
+    with a token table of ``cap`` entries: one per stripped token that is
+    not in the table, which a valid token then joins (a field after a
+    malformed one is not read); the table is emptied before a row that
+    finds it full."""
+    table, calls = set(), 0
+    for t1, t2 in pairs:
+        if len(table) >= cap:
+            table.clear()
+        for tok in (t1, t2):
+            if tok.strip() in table:
+                continue
+            calls += 1
+            try:
+                parse_slope(tok)
+            except ValueError:
+                break
+            table.add(tok.strip())
+    return calls
+
+
+def _batch_input(path, rows):
+    """Write a labelled batch CSV of ``rows`` (id, s1, s2, label) through
+    the csv module, so that fields holding commas, quotes or newlines are
+    quoted, and return its path."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [("id", "s1", "s2", "label"), *rows])
+    return str(path)
+
+
+def test_batch_parses_each_distinct_token_once(tmp_path, capsys,
+                                               monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_slope(text)
+
+    monkeypatch.setattr(cli, "parse_slope", counted)
+    cap = cli._BATCH_TOKENS
+
+    def run(pairs, size=cap):
+        monkeypatch.setattr(cli, "_BATCH_TOKENS", size)
+        src = _batch_input(tmp_path / "in.csv",
+                           [(f"r{i}", a, b, "no")
+                            for i, (a, b) in enumerate(pairs)])
+        calls.clear()
+        run_cli("batch", src, "--out", str(tmp_path / "out.csv"))
+        capsys.readouterr()
+        return len(calls)
+
+    # Six distinct valid stripped tokens (-4/6 and -2/3 are two tokens of
+    # one slope) and three malformed fields: nine calls, where parsing
+    # every field the rows reach takes fifteen.  The 5/7 of row 4 is kept
+    # although its row fails, and no field after a malformed one is read.
+    pairs = [("1/2", " 1/2"), ("3", "1/2  "), ("x", "3"), ("5/7", "x"),
+             (" 5/7", "5/7"), ("-4/6", "inf"), ("-2/3", " x "),
+             ("inf", "-4/6")]
+    assert run(pairs) == 6 + 3 == _expected_parse_calls(pairs, cap)
+    assert run([("7", "7"), ("7", " 7 ")]) == 1
+
+    # With room for four tokens, the fifth row finds the table full, so it
+    # is emptied and 1 is parsed a second time there.
+    pairs = [("1", "2"), ("2", "1"), ("3", "3"), ("1", "4"), ("5", "1"),
+             ("1", "5")]
+    assert run(pairs, size=4) == 2 + 0 + 1 + 1 + 2 + 0
+
+    # At the real size, on random tokens revisited after the table empties:
+    # half the fields come from 300 frequent tokens, the rest from all.
+    rng = random.Random(21)
+    tokens = _distinct_tokens(rng, cap + 600) + ["x", " 1/0/2 ", ""]
+
+    def field():
+        return rng.choice(tokens[:300] if rng.random() < 0.5 else tokens)
+
+    pairs = [(field(), field()) for _ in range(3 * cap)]
+    want = _expected_parse_calls(pairs, cap)
+    assert want < len(pairs)
+    assert run(pairs) == want
+
+
+def test_batch_token_table_matches_pairwise_classify(tmp_path, capsys):
+    # More distinct tokens than the table holds, so it empties; tokens
+    # seen before it emptied come back, space-padded or not, beside the
+    # odd spellings, malformed fields and ids and labels csv must quote.
+    cap = cli._BATCH_TOKENS
+    rng = random.Random(8)
+    fresh = _distinct_tokens(rng, cap + 300)
+    early = fresh[:200] + list(FACT_REPRESENTATIVES) + list(ODD_SPELLINGS)
+    bad = ["x", "1/0/2", "", " 1.5 ", "0/0", "9" * (MAX_SLOPE_TOKEN + 1)]
+    idents = ["a,b", 'q"uote', "line\nbreak", "cr\rx", "  padded  "]
+    labels = ["yes", "no", "unknown", "na", "y,es", ' "no" ']
+    rows = []
+    for i, tok in enumerate(early + fresh + early):
+        other = rng.choice(early)
+        pad = " " * rng.randrange(3)
+        if i % 97 == 0:
+            other = rng.choice(bad)
+        ident = rng.choice(idents) if i % 53 == 0 else f"r{i}"
+        rows.append((ident, pad + tok + pad, other, rng.choice(labels)))
+        if i % 401 == 0:
+            rows.append((f"s{i}", other, tok, "na"))
+    src = _batch_input(tmp_path / "in.csv", rows)
+    with open(src, "a") as fh:
+        fh.write("short,1\n\n")
+    out = tmp_path / "out.csv"
+    assert run_cli("batch", src, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    want_out, want_summary, want_err = _pairwise_batch(src)
+    with open(out, newline="") as fh:
+        assert fh.read() == want_out
+    assert captured.out.splitlines() == want_summary
+    assert captured.err.splitlines() == want_err
+    assert any('"' in line for line in want_out.splitlines()[1:])
+    assert len(want_err) > 2 * len(bad)
 
 
 def _loaded_after(runs, then=""):
