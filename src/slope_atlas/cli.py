@@ -32,7 +32,7 @@ _BOUNDS_RE = re.compile("({0}):({0}),({0}):({0})".format(INT_RE.pattern))
 
 # Most distinct slope tokens a batch run keeps parsed at once.
 _BATCH_TOKENS = 4096
-# Text csv.writer leaves unquoted: no comma, quote or newline.
+# Text a CSV cell holds unquoted: no comma, quote, CR or LF.
 _csv_plain = re.compile('[^,"\r\n]*').fullmatch
 
 # Largest plot grid, in (numerator, denominator) points; the pair count
@@ -207,6 +207,14 @@ def _batch_cells(f1, f2):
             d.left_orderable.value, plot_class(d))
 
 
+def _csv_cell(text):
+    """An input echo as a CSV cell: quoted, with its quotes doubled, if it
+    holds a comma, quote, CR or LF."""
+    if _csv_plain(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def cmd_batch(args):
     """Classify the input CSV row by row in one pass; memory stays flat."""
     header = "id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable"
@@ -224,7 +232,6 @@ def cmd_batch(args):
             raise ValueError(f"{args.input}: empty file, missing header")
         has_label = parse_batch_header(first)
         with _atomic_out(args.out, newline="") as out:
-            writer = csv.writer(out, lineterminator="\n")
             out.write(header + (",label,agrees\n" if has_label else "\n"))
             # A quoted field may span lines, so each record is numbered by
             # the first physical line after the previous record.
@@ -256,18 +263,14 @@ def cmd_batch(args):
                 done += 1
                 tally[cls] += 1
                 tally["left-orderable " + lo] += 1
-                out_row = [row[0].strip(), c1[0], c2[0], qhs, c1[1], c2[1],
-                           lspace, foliation, euler, lo]
+                out_row = [_csv_cell(row[0].strip()), c1[0], c2[0], qhs,
+                           c1[1], c2[1], lspace, foliation, euler, lo]
                 if has_label:
                     label = row[3].strip()
                     ok = label == lo
                     agree += ok
-                    out_row += [label, "true" if ok else "false"]
-                # The output row needs csv quoting only if the input row does.
-                if _csv_plain("".join(row)):
-                    out.write(",".join(out_row) + "\n")
-                else:
-                    writer.writerow(out_row)
+                    out_row += [_csv_cell(label), "true" if ok else "false"]
+                out.write(",".join(out_row) + "\n")
     print(f"rows: {done}")
     for key, n in tally.items():
         print(f"{key}: {n}")

@@ -13,7 +13,7 @@ region has a closed-form box plus the two infinity lines.
 from __future__ import annotations
 
 from .rational import Record
-from .slopes import INF, CircularArc, ExtRational, Region
+from .slopes import INF, ZERO, CircularArc, ExtRational, Region
 
 
 class TorsionProfile(Record):
@@ -80,33 +80,12 @@ def compute_d_positive(profile):
     return tuple(sorted(out))
 
 
-class AllButLongitude:
-    """All slopes but zero: the one candidate of an empty difference set."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def contains(self, x):
-        if not isinstance(x, ExtRational):
-            raise TypeError("interval membership needs a slope")
-        return not x.is_zero()
-
-    def __repr__(self):
-        return "AllButLongitude()"
-
-    def __str__(self):
-        return "all slopes except 0"
-
-
-ALL_BUT_LONGITUDE = AllButLongitude()
+# All slopes but zero: the one candidate of an empty difference set.
+ALL_BUT_LONGITUDE = CircularArc(ZERO, ZERO)
 
 
 def interval_candidates(d_positive):
-    """The candidate L-space slope sets from a positive difference set
+    """The candidate L-space slope arcs from a positive difference set
     (sorted, in (0, c]).
 
     An empty set gives the single candidate ``ALL_BUT_LONGITUDE``; otherwise,

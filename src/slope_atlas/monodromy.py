@@ -19,7 +19,7 @@ import enum
 from .rational import Record
 from .slopes import (ABOVE_MINUS_ONE_ARC, BELOW_ONE_ARC, NEGATIVE_ARC,
                      POSITIVE_ARC, UNIT_ARC, ExtRational, Region, parse_int,
-                     shown_token)
+                     region_union, shown_token)
 
 
 class BoundaryLabel(enum.Enum):
@@ -203,15 +203,12 @@ def foliation_region(m):
     A0_NEGATIVE one, and a_0 = 0 gives no box of this kind.  Identical boxes
     are merged.
     """
-    boxes = []
+    a0_box = ()
     if m.a0:
         a0 = (TrackTemplate.A0_POSITIVE if m.a0 > 0
               else TrackTemplate.A0_NEGATIVE)
-        boxes.append((realized_interval(a0),) * m.k)
-    for box in intervals(m):
-        if box not in boxes:
-            boxes.append(box)
-    return Region(m.k, boxes)
+        a0_box = ((realized_interval(a0),) * m.k,)
+    return region_union(Region(m.k, a0_box), Region(m.k, intervals(m)))
 
 
 def _n_template(starts):

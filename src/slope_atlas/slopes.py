@@ -26,9 +26,10 @@ class CircularArc(Record):
       * start = inf: the slopes below end;
       * end = inf: the slopes above start.
 
-    A closed flag adds the corresponding endpoint.  Degenerate arcs with
-    start == end mean the empty set when both flags are open and the single
-    endpoint when both are closed; mixed flags are rejected.
+    A closed flag adds the corresponding endpoint.  An arc with start == end
+    is the single endpoint when both flags are closed and, running all the
+    way round, every slope but that one when both are open; mixed flags are
+    rejected.
     """
 
     __slots__ = _fields = ("start", "end", "start_closed", "end_closed")
@@ -38,22 +39,17 @@ class CircularArc(Record):
                 and isinstance(end, ExtRational)):
             raise TypeError("arc endpoints must be slopes")
         if start == end and start_closed != end_closed:
-            raise ValueError("degenerate arc must have both flags open (empty)"
-                             " or both closed (single point)")
+            raise ValueError("degenerate arc must have both flags closed "
+                             "(single point) or both open: every slope but "
+                             "that one")
         self._init(start, end, start_closed, end_closed)
-
-    def is_empty(self):
-        return self.start == self.end and not self.start_closed
-
-    def is_degenerate(self):
-        return self.start == self.end
 
     def contains(self, x):
         if not isinstance(x, ExtRational):
             raise TypeError("arc membership needs a slope")
         s, e = self.start, self.end
         if s == e:
-            return self.start_closed and x == s
+            return (x == s) == self.start_closed
         if x == s:
             return self.start_closed
         if x == e:
@@ -68,13 +64,8 @@ class CircularArc(Record):
         return x.is_infinite() or x > s or x < e
 
     def complement(self):
-        """The complementary arc, by endpoint and flag swap.
-
-        Defined for non-degenerate arcs only: the complement of a point or of
-        the empty set is not a single arc in this encoding.
-        """
-        if self.is_degenerate():
-            raise ValueError("complement of a degenerate arc is not an arc")
+        """The complementary arc, by endpoint and flag swap; a point and
+        every slope but that point are each other's complements."""
         return CircularArc(self.end, self.start,
                            not self.end_closed, not self.start_closed)
 

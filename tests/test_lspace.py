@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from slope_atlas.lspace import (
     ALL_BUT_LONGITUDE,
-    AllButLongitude,
     TorsionProfile,
     compute_d_positive,
     interval_candidates,
@@ -143,7 +142,6 @@ def test_empty_difference_set_gives_all_but_longitude():
     assert ALL_BUT_LONGITUDE.contains(q(5)) and ALL_BUT_LONGITUDE.contains(INF)
     assert ALL_BUT_LONGITUDE.contains(q(-1, 3))
     assert not ALL_BUT_LONGITUDE.contains(ZERO)
-    assert AllButLongitude() is ALL_BUT_LONGITUDE
 
 
 def test_candidate_arcs_from_highest_level():

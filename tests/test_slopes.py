@@ -144,15 +144,17 @@ def test_arc_endpoints_must_be_slopes(ends):
 
 
 def test_degenerate_arcs():
-    empty = CircularArc(ONE, ONE)
-    assert empty.is_empty() and not empty.contains(ONE)
+    # The open arc from 1 round to 1 is every slope but 1.
+    punctured = CircularArc(ONE, ONE)
+    assert not punctured.contains(ONE)
+    assert punctured.contains(INF) and punctured.contains(q(2))
+    assert punctured.contains(ZERO)
     point = CircularArc(ONE, ONE, True, True)
     assert point.contains(ONE)
     assert not point.contains(q(2)) and not point.contains(INF)
-    with pytest.raises(ValueError):
+    assert punctured.complement() == point and point.complement() == punctured
+    with pytest.raises(ValueError, match="every slope but that one"):
         CircularArc(ONE, ONE, True, False)
-    with pytest.raises(ValueError):
-        empty.complement()
 
 
 def _random_slope(rng, allow_inf=True):
@@ -188,8 +190,6 @@ def test_complement_partitions_the_circle():
     rng = random.Random(11)
     for _ in range(400):
         a = _random_arc(rng)
-        if a.is_degenerate():
-            continue
         b = a.complement()
         for x in _sample_points([a]):
             assert a.contains(x) != b.contains(x), (str(a), str(x))
@@ -199,8 +199,6 @@ def test_complement_involution():
     rng = random.Random(12)
     for _ in range(200):
         a = _random_arc(rng)
-        if a.is_degenerate():
-            continue
         assert a.complement().complement() == a
 
 
@@ -217,9 +215,10 @@ def test_arc_intersection_membership_exact():
 
 def test_arc_intersection_exhaustive_on_small_endpoint_set():
     # Every arc with endpoints in {inf, -1, 0, 1/2, 1}, degenerate and
-    # closed-flag arcs included, against every other.  The samples are the
-    # endpoints, the midpoints between them and one step beyond each end,
-    # so each piece the two arcs cut the circle into is hit.
+    # closed-flag arcs included, against its complement and every other.
+    # The samples are the endpoints, the midpoints between them and one
+    # step beyond each end, so each piece the arcs cut the circle into is
+    # hit.
     ends = [INF, q(-1), ZERO, q(1, 2), ONE]
     arcs = [CircularArc(s, e, sc, ec)
             for s in ends for e in ends
@@ -229,9 +228,13 @@ def test_arc_intersection_exhaustive_on_small_endpoint_set():
     samples = _sample_points(arcs)
     assert len(samples) == 10
     for a in arcs:
+        c = a.complement()
+        assert c.complement() == a, str(a)
+        assert all(a.contains(x) != c.contains(x) for x in samples), str(a)
         for b in arcs:
             pieces = arc_intersect(a, b)
-            assert not any(p.is_empty() for p in pieces), (str(a), str(b))
+            assert all(any(p.contains(x) for x in samples)
+                       for p in pieces), (str(a), str(b))
             for x in samples:
                 hits = sum(p.contains(x) for p in pieces)
                 assert hits == (a.contains(x) and b.contains(x)), (
