@@ -20,8 +20,6 @@ Two constructions are provided for a monodromy (a_0; a_1..a_k):
 Both have no sink discs and carry exactly the fundamental-class ray.
 """
 
-from __future__ import annotations
-
 import enum
 import gc
 import json

@@ -6,9 +6,6 @@ success, 2 on malformed input (the diagnostic names the offending token).
 batch and plot need only `rational` and `whitehead`.
 """
 
-from __future__ import annotations
-
-import argparse
 import contextlib
 import csv
 import functools
@@ -16,9 +13,10 @@ import os
 import re
 import stat
 import sys
+from types import SimpleNamespace
 
-from .rational import (INT_RE, SLOPE_RE, ExtRational, parse_int,
-                       parse_slope, shown_token)
+from .rational import (INT_RE, ExtRational, parse_int, parse_slope,
+                       shown_token)
 from .whitehead import (
     _decide,
     _facts,
@@ -38,17 +36,6 @@ _csv_plain = re.compile('[^,"\r\n]*').fullmatch
 # Largest plot grid, in (numerator, denominator) points; the pair count
 # grows with the square of it.
 MAX_GRID_POINTS = 1024
-
-
-class _Parser(argparse.ArgumentParser):
-    # Accept slopes like -7/2 and bounds like -3:3,1:4 as values instead of
-    # option strings; plain "--" before them works as well.  The matcher is
-    # an instance attribute set by argparse, so it must be replaced here,
-    # not shadowed at class level.
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            rf"(?=-)(?:{SLOPE_RE.pattern}|{_BOUNDS_RE.pattern})\Z")
 
 
 def _arc_json(a):
@@ -72,7 +59,10 @@ def _atomic_out(path, newline=None):
     completes.  A target ``open(path, "w")`` would refuse is refused; a new
     file gets the mode that call gives and an existing one keeps its mode.
     The result is a new file, so hard links to the old one keep the old
-    contents and its owner is the writer."""
+    contents and its owner is the writer.  No ``path`` means stdout."""
+    if not path:
+        yield sys.stdout
+        return
     try:
         st = os.stat(path)
     except FileNotFoundError:
@@ -103,11 +93,8 @@ def _atomic_out(path, newline=None):
 
 
 def _emit(text, out_path):
-    if out_path:
-        with _atomic_out(out_path) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _atomic_out(out_path) as fh:
+        fh.write(text)
 
 
 def _emit_json(doc, out_path):
@@ -322,31 +309,33 @@ def svg_coord(value, lo, hi, flip=False):
     return f"{top / span:.2f}"
 
 
-def _svg_scatter(values, facts, rows):
-    """SVG scatter with ``rows[facts[i]][j]`` drawn at (values[i],
-    values[j]), ``values`` sorted; a row may run past ``values``."""
+def _svg_scatter(out, values, facts, rows):
+    """Write to ``out`` the SVG scatter with ``rows[facts[i]][j]`` drawn at
+    (values[i], values[j]), ``values`` sorted; a row may run past
+    ``values``."""
     lo, hi = values[0], values[-1]
-    xs = [svg_coord(v, lo, hi) for v in values]
     ys = [svg_coord(v, lo, hi, flip=True) for v in values]
     # Each row's circles differ only in cx, so their tails are formatted
     # once per distinct fact.
-    tails = {f: [f'" cy="{cy}" r="3" fill="{_PLOT_COLORS[cls]}"/>'
+    tails = {f: [f'" cy="{cy}" r="3" fill="{_PLOT_COLORS[cls]}"/>\n'
                  for cy, cls in zip(ys, rows[f])] for f in set(facts)}
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="640" '
-             'height="640" viewBox="0 0 640 640">',
-             '<rect width="640" height="640" fill="white"/>',
-             '<rect x="40" y="40" width="560" height="560" fill="none" '
-             'stroke="black"/>']
-    for cx, f in zip(xs, facts):
-        head = '<circle cx="' + cx
-        parts.append(head + ("\n" + head).join(tails[f]))
-    parts.append('<text x="40" y="24" font-size="12">'
-                 'red: lspace  blue: foliation  gray: non-qhs</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    out.write('<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+              'height="640" viewBox="0 0 640 640">\n'
+              '<rect width="640" height="640" fill="white"/>\n'
+              '<rect x="40" y="40" width="560" height="560" fill="none" '
+              'stroke="black"/>\n')
+    for v, f in zip(values, facts):
+        head = '<circle cx="' + svg_coord(v, lo, hi)
+        out.write(head + head.join(tails[f]))
+    out.write('<text x="40" y="24" font-size="12">'
+              'red: lspace  blue: foliation  gray: non-qhs</text>\n'
+              '</svg>\n')
 
 
 def cmd_plot(args):
+    if args.format not in ("tsv", "svg"):
+        raise ValueError(f"invalid --format {shown_token(args.format)!r}: "
+                         "expected 'tsv' or 'svg'")
     bounds = parse_bounds(args.bounds)
     max_den = args.max_den
     if max_den is not None:
@@ -361,73 +350,114 @@ def cmd_plot(args):
     facts = [_facts(s) for s in slopes]
     classes = {f1: [plot_class(_decide(f1, f2)) for f2 in facts]
                for f1 in set(facts)}
-    if args.format == "tsv":
-        names = [str(s) for s in slopes]
-        tails = {f: [f"\t{b}\t{cls}" for b, cls in zip(names, row)]
-                 for f, row in classes.items()}
-        blocks = [a + ("\n" + a).join(tails[f]) for a, f in zip(names, facts)]
-        _emit("s1\ts2\tclass\n" + "\n".join(blocks) + "\n", args.out)
+    if args.format == "svg":
+        # Infinity sorts last, so the finite slopes are a prefix of the grid.
+        finite = slopes[:-1] if slopes[-1].is_infinite() else slopes
+        if not finite:
+            raise ValueError("no finite slope pairs to plot")
+        with _atomic_out(args.out) as out:
+            _svg_scatter(out, finite, facts[:len(finite)], classes)
         return 0
-    # Infinity sorts last, so the finite slopes are a prefix of the grid.
-    finite = slopes[:-1] if slopes[-1].is_infinite() else slopes
-    if not finite:
-        raise ValueError("no finite slope pairs to plot")
-    _emit(_svg_scatter(finite, facts[:len(finite)], classes), args.out)
+    names = [str(s) for s in slopes]
+    tails = {f: [f"\t{b}\t{cls}\n" for b, cls in zip(names, row)]
+             for f, row in classes.items()}
+    # Each slope's block is written as it is formed, so memory stays flat.
+    with _atomic_out(args.out) as out:
+        out.write("s1\ts2\tclass\n")
+        for a, f in zip(names, facts):
+            out.write(a + a.join(tails[f]))
     return 0
 
 
-def build_parser():
-    parser = _Parser(prog="slope-atlas",
-                     description="Exact classification of Whitehead-link "
-                                 "surgeries and torus-bundle boundary data.")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
+# Each command's one-line help, its positionals and its options with their
+# defaults; a default of False marks a flag and REQUIRED an option that must
+# be given.  `main` looks `cmd_<name>` up when it runs, so a rebound
+# function is the one called.
+COMMANDS = {
+    "classify": ("classify one surgery multislope; a slope is p, p/q or inf",
+                 ("s1", "s2"), {"out": None}),
+    "monodromy": ("report the boundary data of the word 'a0; a1, ..., ak'",
+                  ("word",), {"json": False, "out": None}),
+    "region": ("print the L-space and taut-foliation regions", (),
+               {"b1": "0", "b2": "0", "json": False, "out": None}),
+    "batch": ("classify a CSV with header id,s1,s2[,label]", ("input",),
+              {"out": REQUIRED}),
+    "plot": ("scatter the verdict classes over the slope grid "
+             "pmin:pmax,qmin:qmax as tsv or svg", (),
+             {"bounds": REQUIRED, "format": "tsv", "max-den": None,
+              "out": None}),
+}
 
-    p = sub.add_parser("classify", help="classify one surgery multislope")
-    p.add_argument("s1", help="first slope: p, p/q or inf")
-    p.add_argument("s2", help="second slope: p, p/q or inf")
-    p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("monodromy", help="report boundary data of a "
-                                         "monodromy word")
-    p.add_argument("word", help="exponents 'a0; a1, a2, ..., ak'")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_monodromy)
+def usage(name=None):
+    """Usage text of the command ``name``, or of every command."""
+    lines = [] if name else ["Exact classification of Whitehead-link "
+                             "surgeries and torus-bundle boundary data."]
+    for cmd in [name] if name else COMMANDS:
+        text, positionals, options = COMMANDS[cmd]
+        words = ["usage: slope-atlas", cmd, *map(str.upper, positionals)]
+        for opt, default in options.items():
+            word = f"--{opt}" if default is False else f"--{opt} {opt.upper()}"
+            if default is not REQUIRED:
+                word = f"[{word}{f' (default {default})' if default else ''}]"
+            words.append(word)
+        lines += [" ".join(words), "    " + text]
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("region", help="print the L-space and "
-                                      "taut-foliation regions")
-    p.add_argument("--b1", default="0", help="first framing")
-    p.add_argument("--b2", default="0", help="second framing")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", help="write here instead of stdout")
-    p.set_defaults(func=cmd_region)
 
-    p = sub.add_parser("batch", help="classify a CSV of multislopes")
-    p.add_argument("input", help="CSV with header id,s1,s2[,label]")
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(func=cmd_batch)
-
-    p = sub.add_parser("plot", help="scatter the verdict classes over a "
-                                    "slope grid")
-    p.add_argument("--bounds", required=True,
-                   help="integer grid 'pmin:pmax,qmin:qmax'")
-    p.add_argument("--format", choices=("tsv", "svg"), default="tsv")
-    p.add_argument("--max-den",
-                   help="keep only slopes with denominator at most this")
-    p.add_argument("--out", help="write here instead of stdout")
-    p.set_defaults(func=cmd_plot)
-    return parser
+def parse_args(argv):
+    """(command name, namespace of its arguments) of ``argv``, with a None
+    namespace when it asks for help.  Option names are exact, ``--`` ends
+    the options, a repeated option keeps its last value and every other
+    token is a positional.  A usage error raises ValueError."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        return None, None
+    if name not in COMMANDS:
+        raise ValueError(("missing command" if name is None else
+                          f"unknown command {shown_token(name)!r}")
+                         + ": expected one of " + ", ".join(COMMANDS))
+    _, names, options = COMMANDS[name]
+    values, given, tokens = dict(options), [], iter(argv[1:])
+    for tok in tokens:
+        if tok == "--":
+            given.extend(tokens)
+        elif tok in ("-h", "--help"):
+            return name, None
+        elif tok.startswith("--"):
+            opt, eq, value = tok[2:].partition("=")
+            if opt not in options:
+                raise ValueError(f"{name}: unknown option "
+                                 f"{shown_token(tok)!r}")
+            if options[opt] is False:
+                if eq:
+                    raise ValueError(f"{name}: --{opt} takes no value")
+                value = True
+            elif not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise ValueError(f"{name}: --{opt} needs a value")
+            values[opt] = value
+        else:
+            given.append(tok)
+    if len(given) != len(names):
+        raise ValueError(f"{name}: expected {len(names)} positional "
+                         f"arguments, got {len(given)}")
+    for opt, value in values.items():
+        if value is REQUIRED:
+            raise ValueError(f"{name}: --{opt} is required")
+    values = {opt.replace("-", "_"): v for opt, v in values.items()}
+    return name, SimpleNamespace(**values, **dict(zip(names, given)))
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code
-    try:
-        return args.func(args)
+        name, args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(usage(name))
+            return 0
+        return globals()["cmd_" + name](args)
     except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,6 @@ For links with two unknotted components and linking number zero the L-space
 region has a closed-form box plus the two infinity lines.
 """
 
-from __future__ import annotations
-
 from .rational import Record
 from .slopes import INF, ZERO, CircularArc, ExtRational, Region
 

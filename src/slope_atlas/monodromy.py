@@ -12,8 +12,6 @@ of the slope arc each track realizes, and every foliation box and every
 witness is read from it.
 """
 
-from __future__ import annotations
-
 import enum
 
 from .rational import Record

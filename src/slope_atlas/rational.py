@@ -5,8 +5,6 @@ q >= 0; the infinity slope is 1/0 and the zero slope is 0/1.  Arcs and
 regions of slopes live in `slopes`, which re-exports the names defined here.
 """
 
-from __future__ import annotations
-
 import math
 import re
 

@@ -7,8 +7,6 @@ Python integers; no floating point is used.  The slope class and the input
 grammar are defined in `rational` and re-exported here.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .rational import (INF, MAX_SLOPE_TOKEN, MINUS_ONE, ONE, ZERO, ExtRational,

@@ -9,8 +9,6 @@ decision rules that produced it.  The two region functions import the
 region modules when called, so the verdict path loads none of them.
 """
 
-from __future__ import annotations
-
 import collections
 import enum
 import functools

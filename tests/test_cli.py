@@ -70,9 +70,91 @@ def test_classify_bad_token_names_it(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    assert run_cli("classify", "1") == 2
-    assert run_cli("nonsense") == 2
+    # Each usage error is one "error:" line on stderr and nothing on stdout.
+    for argv in ([], ["nonsense"], ["classify", "1", "1", "--bogus", "x"],
+                 ["plot", "--bou", "1:2,1:2"], ["plot", "--bounds"],
+                 ["monodromy", "1; 2", "--json=x"], ["classify", "1"],
+                 ["classify", "1", "1", "1"], ["region", "3"],
+                 ["batch", "in.csv"], ["plot"],
+                 ["plot", "--bounds", "1:2,1:2", "--format", "png"],
+                 ["plot", "--bounds=1:2,1:2", "--format="],
+                 ["--", "classify", "1", "1"]):
+        assert run_cli(*argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: "), argv
+        assert captured.err.count("\n") == 1, argv
+        assert captured.err.endswith("\n"), argv
+    # A long command, option name or --format value is echoed cut.
+    long = "x" * 5000
+    for argv in ([long], ["--" + long], ["plot", "--" + long],
+                 ["plot", "--" + long + "=1"],
+                 ["plot", "--bounds", "1:2,1:2", "--format", long]):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "x" * (MAX_SLOPE_TOKEN - 2) in captured.err
+        assert len(captured.err) < 2 * MAX_SLOPE_TOKEN
+
+
+def test_argument_grammar_accepted_forms(capsys, tmp_path):
+    def out(*argv):
+        assert run_cli(*argv) == 0
+        return capsys.readouterr().out
+
+    assert json.loads(out("classify", "-3", "5/6"))["slope"] == ["-3", "5/6"]
+    assert out("classify", "-3", "5/6") == out("classify", "--", "-3", "5/6")
+    # A repeated option keeps its last value.
+    tsv = out("plot", "--bounds=-2:2,1:3")
+    assert tsv == out("plot", "--bounds", "9:1,1:1", "--bounds=-2:2,1:3")
+    assert tsv == out("plot", "--format", "svg", "--bounds=-2:2,1:3",
+                      "--format=tsv")
+    # Options go on either side of the positionals.
+    doc = out("monodromy", "--json", "1; 1, -1")
+    assert doc == out("monodromy", "1; 1, -1", "--json", "--json")
+    # "--" ends the options, so a later "--json" is a positional.
+    assert run_cli("monodromy", "--", "1; 2", "--json") == 2
     capsys.readouterr()
+    verdict = tmp_path / "v.json"
+    assert out("classify", f"--out={verdict}", "1", "--", "-1") == ""
+    assert json.loads(verdict.read_text())["slope"] == ["1", "-1"]
+
+
+def test_help_names_every_command_option_and_positional(capsys):
+    def help_text(*argv):
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    top = help_text("-h")
+    assert top == help_text("--help")
+    # Help after other arguments still wins over running the command.
+    assert help_text("plot", "--bounds", "1:2,1:2", "-h") == help_text(
+        "plot", "--help")
+    for name, (text, positionals, options) in cli.COMMANDS.items():
+        assert text in top
+        for out in (top, help_text(name, "-h")):
+            assert f"slope-atlas {name}" in out
+            for p in positionals:
+                assert p.upper() in out
+            for opt in options:
+                assert f"--{opt}" in out
+
+
+def test_main_calls_the_command_function_bound_when_it_runs(
+        capsys, monkeypatch):
+    seen = []
+
+    def fake(args):
+        seen.append(args)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_classify", fake)
+    assert run_cli("classify", "-1", "2/3") == 7
+    assert capsys.readouterr().out == ""
+    [args] = seen
+    assert (args.s1, args.s2, args.out) == ("-1", "2/3", None)
 
 
 def test_console_script_entry_point():
@@ -117,6 +199,8 @@ def test_monodromy_leading_dash_word(capsys):
     assert "labels: p+ p+ p+" in out
     assert "(-1,inf) x (-1,inf) x (-1,inf)" in out
     assert "(inf,1) x (inf,1) x (inf,1)" in out
+    assert run_cli("monodromy", "-1; 1, 1, 1") == 0
+    assert capsys.readouterr().out == out
 
 
 def test_monodromy_rejects_zero_exponent(capsys):
@@ -507,15 +591,15 @@ def test_batch_csv_error_exits_2(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["in.csv"]
 
 
-def _batch_peak_mib(src, out):
-    """Exit code and peak RSS in MiB of a fresh interpreter running batch.
-    On Linux the peak is VmHWM: ru_maxrss would not do there, since a
-    child started by fork or vfork reports the parent's peak when that is
-    the larger, as this test process's usually is."""
+def _peak_mib(*argv):
+    """Exit code and peak RSS in MiB of a fresh interpreter running the CLI
+    on ``argv``.  On Linux the peak is VmHWM: ru_maxrss would not do there,
+    since a child started by fork or vfork reports the parent's peak when
+    that is the larger, as this test process's usually is."""
     script = (
         "import resource, sys\n"
         "from slope_atlas import cli\n"
-        "rc = cli.main(['batch', sys.argv[1], '--out', sys.argv[2]])\n"
+        "rc = cli.main(sys.argv[1:])\n"
         "try:\n"
         "    with open('/proc/self/status') as fh:\n"
         "        peak = int(fh.read().split('VmHWM:')[1].split()[0])\n"
@@ -525,7 +609,7 @@ def _batch_peak_mib(src, out):
         "print(rc, peak)\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script, str(src), str(out)],
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                           capture_output=True, text=True, env=env, check=True)
     rc, peak_kib = proc.stdout.split()[-2:]
     return rc, int(peak_kib) / 1024
@@ -544,7 +628,8 @@ def test_batch_memory_flat_in_row_count(tmp_path):
             for i in range(n):
                 fh.write(f"r{i}{pad},{i % 41 - 20}/{i % 13 + 1},"
                          f"{i % 37 - 18}/{i % 11 + 1}\n")
-        rc, peaks[n] = _batch_peak_mib(src, tmp_path / "o.csv")
+        rc, peaks[n] = _peak_mib("batch", src, "--out",
+                                 tmp_path / "o.csv")
         assert rc == "0"
     assert peaks[20_000] - peaks[2_000] < 5, peaks
 
@@ -569,7 +654,8 @@ def test_batch_memory_flat_in_distinct_and_padded_tokens(tmp_path):
             "distinct": write("distinct.csv", 40_000, False)}
     peaks = {}
     for name, src in runs.items():
-        rc, peaks[name] = _batch_peak_mib(src, tmp_path / "o.csv")
+        rc, peaks[name] = _peak_mib("batch", src, "--out",
+                                    tmp_path / "o.csv")
         assert rc == "0"
     assert peaks["padded"] - peaks["small"] < 5, peaks
     assert peaks["distinct"] - peaks["small"] < 5, peaks
@@ -853,12 +939,16 @@ def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
          ["plot", "--bounds", "-2:2,1:2"]])
     assert codes == ["0", "2", "0"]
     assert {"slope_atlas.rational", "slope_atlas.whitehead"} <= loaded
-    for name in _REGION_MODULES + ("fractions", "decimal"):
+    # The argument parser loads no argparse, and through it no gettext or
+    # locale.
+    unloaded = _REGION_MODULES + ("fractions", "decimal", "argparse",
+                                  "gettext", "locale")
+    for name in unloaded:
         assert name not in loaded
     codes, loaded = _loaded_after(
         [["plot", "--bounds", "-2:2,1:2", "--format", "svg"]])
     assert codes == ["0"]
-    for name in _REGION_MODULES + ("fractions", "decimal"):
+    for name in unloaded:
         assert name not in loaded
 
 
@@ -1051,6 +1141,45 @@ def test_plot_decides_each_row_once_per_fact(capsys, monkeypatch):
     assert 0 < calls <= 7 * n == 2233
 
 
+def test_plot_memory_flat_in_grid_size(tmp_path):
+    # Each slope's block is written as it is formed, so the largest grid
+    # the bounds allow (8 MB of TSV, 20 MB of SVG) peaks near a small one;
+    # a plot that joined its whole output first would peak 20 to 60 MiB
+    # higher.
+    out = tmp_path / "plot.txt"
+    for fmt in ("tsv", "svg"):
+        peaks = {}
+        for bounds in ("-2:2,1:2", "-16:16,1:31"):
+            rc, peaks[bounds] = _peak_mib("plot", f"--bounds={bounds}",
+                                          "--format", fmt, "--out", out)
+            assert rc == "0"
+        assert out.stat().st_size > 8_000_000
+        assert peaks["-16:16,1:31"] - peaks["-2:2,1:2"] < 5, (fmt, peaks)
+
+
+def test_plot_out_stays_atomic_while_streaming(tmp_path, capsys,
+                                               monkeypatch):
+    out = tmp_path / "plot.svg"
+    out.write_bytes(b"old contents\n")
+    coord, xs = cli.svg_coord, []
+
+    def failing_coord(value, lo, hi, flip=False):
+        # The x coordinates are formed as the circles are written, so the
+        # fault comes after the first four slopes' blocks.
+        if not flip:
+            xs.append(value)
+            if len(xs) == 5:
+                raise ValueError("renderer fault")
+        return coord(value, lo, hi, flip)
+
+    monkeypatch.setattr(cli, "svg_coord", failing_coord)
+    assert run_cli("plot", "--bounds=-3:3,1:3", "--format", "svg",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: renderer fault\n"
+    assert out.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["plot.svg"]
+
+
 def test_plot_svg_without_finite_slopes_exits_2(capsys):
     assert run_cli("plot", "--bounds", "1:1,0:0", "--format", "svg") == 2
     captured = capsys.readouterr()
@@ -1081,10 +1210,11 @@ def test_plot_rejects_bad_bounds(capsys):
 
 
 def test_plot_accepts_bare_negative_bounds(capsys):
-    assert run_cli("plot", "--bounds=-2:2,1:3") == 0
-    expected = capsys.readouterr().out
-    assert run_cli("plot", "--bounds", "-2:2,1:3") == 0
-    assert capsys.readouterr().out == expected
+    for bounds in ("-2:2,1:3", "-16:16,1:16"):
+        assert run_cli("plot", f"--bounds={bounds}") == 0
+        expected = capsys.readouterr().out
+        assert run_cli("plot", "--bounds", bounds) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_bounds_parser():
