@@ -244,13 +244,14 @@ def isolated_sectors(c):
 class WeightSystem(Record):
     """Nonnegative integer weights per sector id, satisfying the switches.
 
-    ``weights`` is ((sector_id, weight), ...) in complex sector order.
+    ``weights`` is ((sector_id, weight), ...) in complex sector order,
+    stored as tuples, pairs included.
     """
 
     __slots__ = _fields = ("weights",)
 
     def __init__(self, weights):
-        _set_weights(self, weights)
+        _set_weights(self, tuple(map(tuple, weights)))
 
 
 # The slot setter, which bypasses the refusing __setattr__.

@@ -3,13 +3,12 @@
 A monodromy is a word tau_0^{a_0} tau_1^{a_1} ... tau_k^{a_k} in the twists
 along a fixed system of curves on the k-holed torus: a_0 twists along the
 closed curve, a_i != 0 along the i-th arc-parallel curve, indices cyclic
-(a_{k+1} = a_1).  Each boundary component gets a sign label from the
-adjacent pair of exponents, and the same twist signs fix the two coherent
-orientations of the transfer arcs beta_i.  A taut foliation transverse to
-the fibration comes from a branched surface whose track on each boundary
-torus is one of the templates below; the template table is the only record
-of the slope arc each track realizes, and every foliation box and every
-witness is read from it.
+(a_{k+1} = a_1).  A taut foliation transverse to the fibration comes from
+a branched surface whose track on each boundary torus is one of the
+templates below.  One pass reads the twist signs into each boundary's
+template; the labels, the n types of the two coherent orientations of the
+transfer arcs beta_i and the intervals I and J are read from it, and the
+template table is the only record of the slope arc each track realizes.
 """
 
 import enum
@@ -156,41 +155,45 @@ def parse_monodromy(text):
     return Monodromy(a0, twists)
 
 
-def labels(m):
-    """Boundary labels, one per boundary component i = 1..k.
+# Reversing every transfer arc swaps the n templates N_OUT and N_IN.
+_REVERSED = {TrackTemplate.N_OUT: TrackTemplate.N_IN,
+             TrackTemplate.N_IN: TrackTemplate.N_OUT}
+_LABEL = {TrackTemplate.PPLUS: BoundaryLabel.PPLUS,
+          TrackTemplate.PMINUS: BoundaryLabel.PMINUS}
 
-    The label of boundary i is decided by the signs of (a_i, a_{i+1}),
-    cyclically: both positive p+, both negative p-, mixed n.  For k = 1 the
-    pair is (a_1, a_1), so the label is p+ or p- by the sign of a_1.
+
+def _templates(m):
+    """Each boundary's template under the first coherent orientation; the
+    only reading of the twist signs into boundary data.
+
+    Boundary i is met by beta_i and beta_{i+1}, which keep their direction
+    across it when a_i and a_{i+1} share a sign (PPLUS or PMINUS by that
+    sign; for k = 1 the pair is (a_1, a_1)) and flip across it otherwise,
+    so beta_i and beta_1 share a direction exactly when a_i and a_1 share a
+    sign.  beta_1 runs into boundary 1, so both arcs at an n boundary i
+    start there (N_OUT) when a_i and a_1 differ in sign and end there
+    (N_IN) when they agree.
     """
-    out = []
-    k = m.k
-    for i in range(k):
-        a, b = m.twists[i], m.twists[(i + 1) % k]
-        if a > 0 and b > 0:
-            out.append(BoundaryLabel.PPLUS)
-        elif a < 0 and b < 0:
-            out.append(BoundaryLabel.PMINUS)
-        else:
-            out.append(BoundaryLabel.N)
-    return tuple(out)
+    pos = [a > 0 for a in m.twists]
+    return tuple(
+        (TrackTemplate.PPLUS if p else TrackTemplate.PMINUS) if p == nxt
+        else TrackTemplate.N_OUT if p != pos[0] else TrackTemplate.N_IN
+        for p, nxt in zip(pos, pos[1:] + pos[:1]))
+
+
+def labels(m):
+    """Boundary labels, one per boundary component i = 1..k: p+ or p- on
+    the boundaries with a PPLUS or PMINUS template, n on the others."""
+    return tuple(_LABEL.get(t, BoundaryLabel.N) for t in _templates(m))
 
 
 def intervals(m):
-    """The two multislope interval tuples (I, J) realized at the boundary.
-
-    Boundary i carries the template of its p+ or p- label, which is the sign
-    of a_i, or, when it is n-labeled, the template the orientation gives it;
-    I is read off the first coherent orientation and J off the second.
-    """
-    out = []
-    for o in coherent_orientations(m):
-        n_types = dict(o.n_types)
-        out.append(tuple(
-            realized_interval(n_types.get(i) or (
-                TrackTemplate.PPLUS if a > 0 else TrackTemplate.PMINUS))
-            for i, a in enumerate(m.twists, start=1)))
-    return tuple(out)
+    """The two multislope interval tuples (I, J) realized at the boundary:
+    I realizes the templates of the first coherent orientation, J those of
+    the second, where N_OUT and N_IN trade places."""
+    templates = _templates(m)
+    return (tuple(map(realized_interval, templates)),
+            tuple(realized_interval(_REVERSED.get(t, t)) for t in templates))
 
 
 def foliation_region(m):
@@ -209,11 +212,6 @@ def foliation_region(m):
     return region_union(Region(m.k, a0_box), Region(m.k, intervals(m)))
 
 
-def _n_template(starts):
-    """N_OUT when both incident arcs start at the boundary, else N_IN."""
-    return TrackTemplate.N_OUT if starts else TrackTemplate.N_IN
-
-
 class OrientationAssignment(Record):
     """A coherent orientation of the transfer arcs beta_1..beta_k.
 
@@ -221,37 +219,29 @@ class OrientationAssignment(Record):
     from boundary i (cyclically, boundary 0 is boundary k) to boundary i+1,
     True the reverse.  ``n_types`` pairs each n-labeled boundary index
     (1-based) with its template: N_OUT when both incident arcs start there,
-    N_IN when both end there.
+    N_IN when both end there.  Both are stored as tuples, pairs included.
     """
 
     __slots__ = _fields = ("directions", "n_types")
 
     def __init__(self, directions, n_types):
-        self._init(directions, n_types)
+        self._init(tuple(directions), tuple(map(tuple, n_types)))
 
     def reversed(self):
-        flipped = tuple(not d for d in self.directions)
-        swapped = tuple((i, _n_template(t is TrackTemplate.N_IN))
-                        for (i, t) in self.n_types)
-        return OrientationAssignment(flipped, swapped)
+        return OrientationAssignment(
+            (not d for d in self.directions),
+            ((i, _REVERSED.get(t, t)) for i, t in self.n_types))
 
 
 def coherent_orientations(m):
-    """The two coherent orientations, read off the twist signs.
-
-    Boundary i is met by beta_i and beta_{i+1}; they keep the same direction
-    across a p+ or p- boundary and flip across an n boundary, so beta_i and
-    beta_1 share a direction exactly when a_i and a_1 share a sign.  The
-    n boundaries are those where a_i and a_{i+1} differ in sign.  The two
-    results are componentwise reversals of each other.
-    """
-    pos = [a > 0 for a in m.twists]
-    dirs = tuple(p != pos[0] for p in pos)
-    # beta_i starts at boundary i exactly when its bit is True.
-    n_types = tuple((i, _n_template(d)) for i, (d, p, nxt)
-                    in enumerate(zip(dirs, pos, pos[1:] + pos[:1]), start=1)
-                    if p != nxt)
-    first = OrientationAssignment(dirs, n_types)
+    """The two coherent orientations: the bit of beta_i is set when a_i and
+    a_1 differ in sign, the n types are the n templates, and the second
+    orientation is the componentwise reversal of the first."""
+    first_positive = m.twists[0] > 0
+    first = OrientationAssignment(
+        ((a > 0) != first_positive for a in m.twists),
+        ((i, t) for i, t in enumerate(_templates(m), start=1)
+         if t in _REVERSED))
     return first, first.reversed()
 
 
@@ -259,6 +249,6 @@ def is_coherent(m, o):
     """Whether an orientation assignment is one of the two coherent ones:
     equal bits across p-labeled boundaries, flipped bits across n-labeled
     ones, with matching n types in any order."""
-    dirs = tuple(o.directions)
-    return any(dirs == c.directions and dict(o.n_types) == dict(c.n_types)
+    return any(o.directions == c.directions
+               and dict(o.n_types) == dict(c.n_types)
                for c in coherent_orientations(m))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import errno
 import gc
+import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -336,6 +338,46 @@ _REGION_JSON = (
 def test_monodromy_and_region_output_pinned(capsys, argv, pinned):
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out == pinned
+
+
+# sha256 of the monodromy report, text then --json, of every word
+# "a0; s1, ..., sk" with k <= 6, each s_i = +-1 and a0 in {-1, 0, 1}, in
+# itertools.product order: 756 runs.  Pinned from the output of commit
+# c06d709, before the boundary data were read from one template pass.
+_MONODROMY_SWEEP_SHA256 = (
+    "2d4b6346bcd3d3ad588e52504e8bff0bd7c3d9298d65f5aeddddfb25cc369332")
+
+
+def test_monodromy_output_pinned_on_every_small_sign_vector(capsys):
+    digest, runs = hashlib.sha256(), 0
+    for k in range(1, 7):
+        for signs in itertools.product((-1, 1), repeat=k):
+            for a0 in (-1, 0, 1):
+                word = f"{a0}; " + ", ".join(map(str, signs))
+                for extra in ((), ("--json",)):
+                    assert run_cli("monodromy", word, *extra) == 0
+                    digest.update(capsys.readouterr().out.encode())
+                    runs += 1
+    assert runs == 756
+    assert digest.hexdigest() == _MONODROMY_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)], ids=["text", "json"])
+def test_monodromy_builds_the_orientations_once(capsys, monkeypatch, extra):
+    # labels, intervals and foliation_region read the boundary templates
+    # without building the orientations, so only cmd_monodromy's own call
+    # is left.
+    from slope_atlas import monodromy
+    original, calls = monodromy.coherent_orientations, []
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(monodromy, "coherent_orientations", counted)
+    assert run_cli("monodromy", "1; 5, 10, -5", *extra) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def _region_from_json(doc):

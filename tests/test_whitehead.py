@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from slope_atlas.branched import (BranchArc, BranchComplex, Sector, SectorKind,
                                   WeightSystem, carried_weight_cone)
 from slope_atlas.lspace import TorsionProfile
-from slope_atlas.monodromy import (WL_MONODROMY, Monodromy, TrackTemplate,
-                                   coherent_orientations, witness)
+from slope_atlas.monodromy import (WL_MONODROMY, Monodromy,
+                                   OrientationAssignment, TrackTemplate,
+                                   coherent_orientations, is_coherent, witness)
 from slope_atlas.slopes import (INF, ONE, POSITIVE_ARC, CircularArc,
                                 ExtRational, Region, parse_slope,
                                 region_intersect)
@@ -391,6 +392,16 @@ def test_records_keep_their_containers_as_tuples(wrap):
     assert hash(r) == hash(Region(2, (box,), (0,)))
     assert r.contains((INF, ONE)) and r.contains((ONE, ONE))
     assert not r.contains((ONE, INF))
+    m = Monodromy(1, (5, 10, -5))
+    for o in coherent_orientations(m):
+        made = OrientationAssignment(wrap(o.directions),
+                                     wrap([wrap(p) for p in o.n_types]))
+        # A stored iterator gave is_coherent True, then False.
+        assert is_coherent(m, made) and is_coherent(m, made)
+        assert made == o and hash(made) == hash(o)
+    for ws in carried_weight_cone(c, 2):
+        made = WeightSystem(wrap([wrap(p) for p in ws.weights]))
+        assert made == ws and hash(made) == hash(ws)
 
 
 # ---------------------------------------------------------------------------
