@@ -3,12 +3,11 @@
 Subcommands: classify, monodromy, region, batch, plot.  Exit codes: 0 on
 success, 2 on malformed input (the diagnostic names the offending token).
 `monodromy` and `region` import the region modules when they run; classify,
-batch and plot need only `rational` and `whitehead`.
+batch and plot need only `rational` and `whitehead`.  Only batch loads
+`csv`, and only the commands that write JSON load `json`.
 """
 
 import contextlib
-import csv
-import functools
 import os
 import re
 import stat
@@ -30,8 +29,8 @@ _BOUNDS_RE = re.compile("({0}):({0}),({0}):({0})".format(INT_RE.pattern))
 
 # Most distinct slope tokens a batch run keeps parsed at once.
 _BATCH_TOKENS = 4096
-# Text a CSV cell holds unquoted: no comma, quote, CR or LF.
-_csv_plain = re.compile('[^,"\r\n]*').fullmatch
+# Finds a character that a CSV cell must quote: comma, quote, CR or LF.
+_csv_special = re.compile('[,"\r\n]').search
 
 # Largest plot grid, in (numerator, denominator) points; the pair count
 # grows with the square of it.
@@ -183,81 +182,109 @@ def parse_batch_header(row):
                      "'id,s1,s2' or 'id,s1,s2,label'")
 
 
-@functools.cache
-def _batch_cells(f1, f2):
-    """The verdict cells qhs, lspace, foliation, euler_zero and
-    left_orderable of a batch row, then its plot class, from the facts of
-    its two slopes; at most 49 fact pairs exist."""
+def _token_cell(s, index):
+    """A batch run's entry for a slope token: str(s), str(abs(s.num)) and
+    the index of ``_facts(s)`` in ``index``, the run's dict from slope facts
+    to their order of first sight."""
+    return str(s), str(abs(s.num)), index.setdefault(_facts(s), len(index))
+
+
+def _pair_entry(f1, f2):
+    """A batch run's entry for the fact pair (f1, f2): its qhs cell, its
+    lspace, foliation, euler_zero and left_orderable cells joined, its
+    left_orderable value and plot class, and a row count."""
     d = _decide(f1, f2)
-    return ("true" if d.is_qhs else "false", d.lspace.value,
-            d.taut_foliation.value, d.euler_vanishing.value,
-            d.left_orderable.value, plot_class(d))
+    lo = d.left_orderable.value
+    return ["true" if d.is_qhs else "false",
+            f"{d.lspace.value},{d.taut_foliation.value},"
+            f"{d.euler_vanishing.value},{lo}", lo, plot_class(d), 0]
 
 
-def _csv_cell(text):
-    """An input echo as a CSV cell: quoted, with its quotes doubled, if it
-    holds a comma, quote, CR or LF."""
-    if _csv_plain(text):
-        return text
+def _csv_quoted(text):
+    """``text`` as a quoted CSV cell, its quotes doubled."""
     return '"' + text.replace('"', '""') + '"'
 
 
 def cmd_batch(args):
     """Classify the input CSV row by row in one pass; memory stays flat."""
+    import csv   # only batch reads CSV
     header = "id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable"
-    tally = dict.fromkeys(["lspace", "foliation", "non-qhs"] + [
-        f"left-orderable {k}" for k in ("yes", "no", "unknown", "na")], 0)
-    done = agree = failures = 0
-    # Stripped slope token -> (str(s), str(abs(s.num)), _facts(s)), or the
-    # bare slope until a row with it parses; cleared when full.
+    agree = failures = 0
+    # Stripped slope token -> its _token_cell, or the bare slope until a
+    # row with it parses; cleared when full.
     seen = {}
     get, put = seen.get, seen.setdefault
+    # Slope facts -> index, and (index, index) -> _pair_entry; at most 7
+    # facts and 49 pairs exist, so neither is ever cleared.
+    index, pairs = {}, {}
     with open(args.input, newline="") as fh:
         rows = csv.reader(fh)
-        first = next(rows, None)
-        if first is None:
-            raise ValueError(f"{args.input}: empty file, missing header")
-        has_label = parse_batch_header(first)
-        with _atomic_out(args.out, newline="") as out:
-            out.write(header + (",label,agrees\n" if has_label else "\n"))
-            # A quoted field may span lines, so each record is numbered by
-            # the first physical line after the previous record.
-            end = rows.line_num
-            for row in rows:
-                lineno, end = end + 1, rows.line_num
-                if not row:
-                    continue
-                if len(seen) >= _BATCH_TOKENS:
-                    seen.clear()
-                try:
-                    if len(row) != len(first):
-                        raise ValueError(
-                            f"expected {len(first)} fields, got {len(row)}")
-                    t1, t2 = row[1].strip(), row[2].strip()
-                    c1 = get(t1) or put(t1, parse_slope(row[1]))
-                    c2 = get(t2) or put(t2, parse_slope(row[2]))
-                except ValueError as exc:
-                    failures += 1
-                    print(f"{args.input}:{lineno}: {exc}", file=sys.stderr)
-                    continue
-                # The rules run outside the try: their errors abort the run.
-                if c1.__class__ is ExtRational:
-                    c1 = seen[t1] = (str(c1), str(abs(c1.num)), _facts(c1))
-                if c2.__class__ is ExtRational:
-                    c2 = seen[t2] = (str(c2), str(abs(c2.num)), _facts(c2))
-                qhs, lspace, foliation, euler, lo, cls = _batch_cells(
-                    c1[2], c2[2])
-                done += 1
-                tally[cls] += 1
-                tally["left-orderable " + lo] += 1
-                out_row = [_csv_cell(row[0].strip()), c1[0], c2[0], qhs,
-                           c1[1], c2[1], lspace, foliation, euler, lo]
-                if has_label:
-                    label = row[3].strip()
-                    ok = label == lo
-                    agree += ok
-                    out_row += [_csv_cell(label), "true" if ok else "false"]
-                out.write(",".join(out_row) + "\n")
+        try:
+            first = next(rows, None)
+            if first is None:
+                raise ValueError(f"{args.input}: empty file, missing header")
+            has_label = parse_batch_header(first)
+            width = len(first)
+            with _atomic_out(args.out, newline="") as out:
+                write = out.write
+                write(header + (",label,agrees\n" if has_label else "\n"))
+                # A quoted field may span lines, so each record is numbered
+                # by the first physical line after the previous record.
+                end = rows.line_num
+                for row in rows:
+                    lineno, end = end + 1, rows.line_num
+                    if not row:
+                        continue
+                    if len(seen) >= _BATCH_TOKENS:
+                        seen.clear()
+                    try:
+                        if len(row) != width:
+                            raise ValueError(
+                                f"expected {width} fields, got {len(row)}")
+                        t1, t2 = row[1].strip(), row[2].strip()
+                        c1 = get(t1) or put(t1, parse_slope(row[1]))
+                        c2 = get(t2) or put(t2, parse_slope(row[2]))
+                    except ValueError as exc:
+                        failures += 1
+                        print(f"{args.input}:{lineno}: {exc}",
+                              file=sys.stderr)
+                        continue
+                    # Outside the try: an error from the rules aborts the run.
+                    if c1.__class__ is ExtRational:
+                        c1 = seen[t1] = _token_cell(c1, index)
+                    if c2.__class__ is ExtRational:
+                        c2 = seen[t2] = _token_cell(c2, index)
+                    key = c1[2], c2[2]
+                    pair = pairs.get(key)
+                    if pair is None:
+                        facts = list(index)
+                        pair = pairs[key] = _pair_entry(facts[key[0]],
+                                                        facts[key[1]])
+                    pair[4] += 1
+                    ident = row[0].strip()
+                    if _csv_special(ident):
+                        ident = _csv_quoted(ident)
+                    if has_label:
+                        label = row[3].strip()
+                        ok = label == pair[2]
+                        agree += ok
+                        if _csv_special(label):
+                            label = _csv_quoted(label)
+                        write(f"{ident},{c1[0]},{c2[0]},{pair[0]},{c1[1]},"
+                              f"{c2[1]},{pair[1]},{label},"
+                              f"{'true' if ok else 'false'}\n")
+                    else:
+                        write(f"{ident},{c1[0]},{c2[0]},{pair[0]},{c1[1]},"
+                              f"{c2[1]},{pair[1]}\n")
+        except csv.Error as exc:
+            raise ValueError(str(exc)) from None
+    done = 0
+    tally = dict.fromkeys(["lspace", "foliation", "non-qhs"] + [
+        f"left-orderable {k}" for k in ("yes", "no", "unknown", "na")], 0)
+    for _, _, lo, cls, n in pairs.values():
+        done += n
+        tally[cls] += n
+        tally["left-orderable " + lo] += n
     print(f"rows: {done}")
     for key, n in tally.items():
         print(f"{key}: {n}")
@@ -458,7 +485,7 @@ def main(argv=None):
             sys.stdout.write(usage(name))
             return 0
         return globals()["cmd_" + name](args)
-    except (ValueError, OSError, csv.Error) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

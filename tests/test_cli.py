@@ -735,65 +735,87 @@ ODD_SPELLINGS = ("0/-7", "-6/-4", "2/-1", "-4/0", "1000001/1000000",
 
 def _pairwise_batch(path):
     """Output text and records, stdout lines and stderr lines of `batch` on
-    the labelled CSV at ``path``: each row is read and written by the csv
-    module and rendered from its own `classify` verdict, and each bad row is
-    reported with the line its record starts on."""
+    the CSV at ``path``, labelled or not: each row is read and written by
+    the csv module and rendered from its own `classify` verdict, and each
+    bad row is reported with the line its record starts on."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    records = [["id", "s1", "s2", "qhs", "h1", "h2", "lspace", "foliation",
-                "euler_zero", "left_orderable", "label", "agrees"]]
     classes = dict.fromkeys(["lspace", "foliation", "non-qhs"], 0)
     orderable = dict.fromkeys(["yes", "no", "unknown", "na"], 0)
     agree = 0
     errors = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        width = len(next(reader))
+        records = [["id", "s1", "s2", "qhs", "h1", "h2", "lspace",
+                    "foliation", "euler_zero", "left_orderable"]
+                   + ["label", "agrees"] * (width == 4)]
         end = reader.line_num
         for fields in reader:
             lineno, end = end + 1, reader.line_num
             if not fields:
                 continue
             try:
-                if len(fields) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(fields)}")
+                if len(fields) != width:
+                    raise ValueError(
+                        f"expected {width} fields, got {len(fields)}")
                 s1, s2 = parse_slope(fields[1]), parse_slope(fields[2])
             except ValueError as exc:
                 errors.append(f"{path}:{lineno}: {exc}")
                 continue
-            ident, label = fields[0].strip(), fields[3].strip()
             v = classify(s1, s2)
             classes[plot_class(v)] += 1
             orderable[v.left_orderable.value] += 1
-            ok = label == v.left_orderable.value
-            agree += ok
-            records.append([
-                ident, str(s1), str(s2), "true" if v.is_qhs else "false",
-                str(v.homology[0]), str(v.homology[1]), v.lspace.value,
-                v.taut_foliation.value, v.euler_vanishing.value,
-                v.left_orderable.value, label, "true" if ok else "false"])
+            record = [
+                fields[0].strip(), str(s1), str(s2),
+                "true" if v.is_qhs else "false", str(v.homology[0]),
+                str(v.homology[1]), v.lspace.value, v.taut_foliation.value,
+                v.euler_vanishing.value, v.left_orderable.value]
+            if width == 4:
+                label = fields[3].strip()
+                ok = label == v.left_orderable.value
+                agree += ok
+                record += [label, "true" if ok else "false"]
+            records.append(record)
     writer.writerows(records)
     rows = sum(classes.values())
     summary = [f"rows: {rows}"]
     summary += [f"{k}: {n}" for k, n in classes.items()]
     summary += [f"left-orderable {k}: {n}" for k, n in orderable.items()]
-    summary.append(f"label agreement: {agree}/{rows}")
+    if width == 4:
+        summary.append(f"label agreement: {agree}/{rows}")
     if errors:
         errors.append(f"failed rows: {len(errors)}")
     return out.getvalue(), records, summary, errors
 
 
-def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys):
+def _fact_pair_rows():
+    """(s1, s2) of every pair of FACT_REPRESENTATIVES, and of each of
+    ODD_SPELLINGS beside each of them in either order."""
     reps = FACT_REPRESENTATIVES
     pairs = [(a, b) for a in reps for b in reps]
-    pairs += [(a, b) for odd in ODD_SPELLINGS for rep in reps
-              for a, b in ((odd, rep), (rep, odd))]
+    return pairs + [(a, b) for odd in ODD_SPELLINGS for rep in reps
+                    for a, b in ((odd, rep), (rep, odd))]
+
+
+def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys,
+                                                            monkeypatch):
+    pairs = _fact_pair_rows()
     pairs.insert(40, ("1/0/2", "1"))
     labels = ("yes", "no", "unknown", "na")
     text = "id,s1,s2,label\n" + "".join(
         f"r{i},{a},{b},{labels[i % 4]}\n" for i, (a, b) in enumerate(pairs))
     src = _write_csv(tmp_path / "in.csv", text)
     out = tmp_path / "out.csv"
+    # The rules run once per fact pair the run meets, and at most 49 exist.
+    calls = []
+    decide = cli._decide
+
+    def counted(f1, f2):
+        calls.append((f1, f2))
+        return decide(f1, f2)
+
+    monkeypatch.setattr(cli, "_decide", counted)
     assert run_cli("batch", src, "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
@@ -802,7 +824,34 @@ def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys):
     assert out.read_text() == want_out
     assert captured.out.splitlines() == want_summary
     assert captured.err.splitlines() == want_err
-    assert cli._batch_cells.cache_info().currsize <= 49
+    assert len(calls) == len(set(calls)) <= 49
+
+
+def test_batch_unlabelled_matches_pairwise_classify_on_every_fact_pair(
+        tmp_path, capsys):
+    # The row shape without the label column, on every fact pair, with ids
+    # that csv must quote and one malformed row.
+    idents = ["a,b", 'q"uote', "line\nbreak", "  padded  ", '"', ","]
+    rows = [(idents[i % len(idents)] if i % 7 == 0 else f"r{i}", a, b)
+            for i, (a, b) in enumerate(_fact_pair_rows())]
+    rows.insert(30, ("bad", "1", "x/2"))
+    src = tmp_path / "in.csv"
+    with open(src, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(
+            [("id", "s1", "s2"), *rows])
+    out = tmp_path / "out.csv"
+    assert run_cli("batch", str(src), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    want_out, want_records, want_summary, want_err = _pairwise_batch(src)
+    with open(out, newline="") as fh:
+        got = fh.read()
+    assert got == want_out
+    assert len(want_records) == len(rows) and len(want_records[0]) == 10
+    assert any(line.startswith('"') for line in got.splitlines())
+    assert captured.out.splitlines() == want_summary
+    # Row 14's id spans two lines, so the bad row starts on line 33.
+    assert captured.err.splitlines() == want_err == [
+        f"{src}:33: invalid slope token 'x/2'", "failed rows: 1"]
 
 
 def _distinct_tokens(rng, n):
@@ -980,18 +1029,21 @@ def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
          ["batch", str(src), "--out", str(tmp_path / "out.csv")],
          ["plot", "--bounds", "-2:2,1:2"]])
     assert codes == ["0", "2", "0"]
-    assert {"slope_atlas.rational", "slope_atlas.whitehead"} <= loaded
+    assert {"slope_atlas.rational", "slope_atlas.whitehead", "csv"} <= loaded
     # The argument parser loads no argparse, and through it no gettext or
     # locale.
     unloaded = _REGION_MODULES + ("fractions", "decimal", "argparse",
                                   "gettext", "locale")
     for name in unloaded:
         assert name not in loaded
-    codes, loaded = _loaded_after(
-        [["plot", "--bounds", "-2:2,1:2", "--format", "svg"]])
-    assert codes == ["0"]
-    for name in unloaded:
-        assert name not in loaded
+    # Only batch reads CSV, so only batch loads csv.
+    for runs in ([["classify", "--", "-3", "5/6"],
+                  ["plot", "--bounds", "-2:2,1:2"]],
+                 [["plot", "--bounds", "-2:2,1:2", "--format", "svg"]]):
+        codes, loaded = _loaded_after(runs)
+        assert codes == ["0"] * len(runs)
+        for name in unloaded + ("csv",):
+            assert name not in loaded
 
 
 def test_only_json_output_loads_json(tmp_path):
