@@ -182,15 +182,14 @@ def parse_batch_header(row):
                      "'id,s1,s2' or 'id,s1,s2,label'")
 
 
-def _token_cell(s, index):
+def _token_cell(s):
     """A batch run's entry for a slope token: str(s), str(abs(s.num)) and
-    the index of ``_facts(s)`` in ``index``, the run's dict from slope facts
-    to their order of first sight."""
-    return str(s), str(abs(s.num)), index.setdefault(_facts(s), len(index))
+    the slope's cell ``_facts(s)``."""
+    return str(s), str(abs(s.num)), _facts(s)
 
 
 def _pair_entry(f1, f2):
-    """A batch run's entry for the fact pair (f1, f2): its qhs cell, its
+    """A batch run's entry for the slope cells (f1, f2): its qhs cell, its
     lspace, foliation, euler_zero and left_orderable cells joined, its
     left_orderable value and plot class, and a row count."""
     d = _decide(f1, f2)
@@ -214,9 +213,9 @@ def cmd_batch(args):
     # row with it parses; cleared when full.
     seen = {}
     get, put = seen.get, seen.setdefault
-    # Slope facts -> index, and (index, index) -> _pair_entry; at most 7
-    # facts and 49 pairs exist, so neither is ever cleared.
-    index, pairs = {}, {}
+    # (cell, cell) -> _pair_entry; only 49 cell pairs exist, so it is
+    # never cleared.
+    pairs = {}
     with open(args.input, newline="") as fh:
         rows = csv.reader(fh)
         try:
@@ -251,15 +250,13 @@ def cmd_batch(args):
                         continue
                     # Outside the try: an error from the rules aborts the run.
                     if c1.__class__ is ExtRational:
-                        c1 = seen[t1] = _token_cell(c1, index)
+                        c1 = seen[t1] = _token_cell(c1)
                     if c2.__class__ is ExtRational:
-                        c2 = seen[t2] = _token_cell(c2, index)
+                        c2 = seen[t2] = _token_cell(c2)
                     key = c1[2], c2[2]
                     pair = pairs.get(key)
                     if pair is None:
-                        facts = list(index)
-                        pair = pairs[key] = _pair_entry(facts[key[0]],
-                                                        facts[key[1]])
+                        pair = pairs[key] = _pair_entry(*key)
                     pair[4] += 1
                     ident = row[0].strip()
                     if _csv_special(ident):
@@ -343,7 +340,7 @@ def _svg_scatter(out, values, facts, rows):
     lo, hi = values[0], values[-1]
     ys = [svg_coord(v, lo, hi, flip=True) for v in values]
     # Each row's circles differ only in cx, so their tails are formatted
-    # once per distinct fact.
+    # once per cell.
     tails = {f: [f'" cy="{cy}" r="3" fill="{_PLOT_COLORS[cls]}"/>\n'
                  for cy, cls in zip(ys, rows[f])] for f in set(facts)}
     out.write('<svg xmlns="http://www.w3.org/2000/svg" width="640" '
@@ -372,8 +369,8 @@ def cmd_plot(args):
     slopes = grid_slopes(bounds, max_den)
     if not slopes:
         raise ValueError("bounds produce no slopes")
-    # A row of classes depends only on the facts of its slope, and at most
-    # 7 distinct facts occur, so each row is decided and rendered once.
+    # A row of classes depends only on the cell of its slope, and only
+    # seven cells exist, so each row is decided and rendered once per cell.
     facts = [_facts(s) for s in slopes]
     classes = {f1: [plot_class(_decide(f1, f2)) for f2 in facts]
                for f1 in set(facts)}

@@ -62,20 +62,9 @@ def compute_d_positive(profile):
     the search is exhaustive over the table.
     """
     p, c = profile.torsion_order, profile.threshold
-    out = set()
-    for n in range(1, c + 1):
-        found = False
-        for nx in range(n, c + 1):
-            for t in range(p):
-                if not profile.in_support(nx, t) and \
-                        profile.in_support(nx - n, t):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            out.add(n)
-    return tuple(sorted(out))
+    return tuple(n for n in range(1, c + 1) if any(
+        not profile.in_support(nx, t) and profile.in_support(nx - n, t)
+        for nx in range(n, c + 1) for t in range(p)))
 
 
 # All slopes but zero: the one candidate of an empty difference set.

@@ -96,15 +96,12 @@ class ExtRational(Record):
     def is_zero(self):
         return self.num == 0
 
-    def _require_finite(self, what):
-        if self.den == 0:
-            raise ValueError(f"{what} is undefined for the infinity slope")
-
     def _cmp_key(self, other):
         if not isinstance(other, ExtRational):
             raise TypeError(f"cannot compare slope with {type(other).__name__}")
-        self._require_finite("order comparison")
-        other._require_finite("order comparison")
+        if self.den == 0 or other.den == 0:
+            raise ValueError("order comparison is undefined for the infinity "
+                             "slope")
         # q > 0 on both sides, so cross multiplication preserves order.
         return self.num * other.den, other.num * self.den
 

@@ -185,15 +185,8 @@ def region_union(a, b):
     """Set union; concatenates and deduplicates the two representations."""
     if a.dim != b.dim:
         raise ValueError("union of regions of different dimension")
-    boxes = list(a.boxes)
-    for box in b.boxes:
-        if box not in boxes:
-            boxes.append(box)
-    lines = list(a.lines)
-    for i in b.lines:
-        if i not in lines:
-            lines.append(i)
-    return Region(a.dim, boxes, lines)
+    return Region(a.dim, dict.fromkeys(a.boxes + b.boxes),
+                  dict.fromkeys(a.lines + b.lines))
 
 
 def _covering_boxes(region):

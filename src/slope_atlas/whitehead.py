@@ -133,27 +133,43 @@ class SurgeryVerdict(collections.namedtuple("SurgeryVerdict", [
         }
 
 
-# The verdict fields that depend only on the two slopes' facts.
+# The verdict fields that depend only on the two slopes' cells.
 _Decision = collections.namedtuple("_Decision", [
     "is_qhs", "lspace", "taut_foliation", "euler_vanishing",
     "left_orderable", "citations"])
 
 
 def _facts(s):
-    """Everything the verdict rules read from one slope: "zero", "inf", or
-    (s >= 1, integer, negative integer, Euler congruence holds)."""
+    """The cell of one slope, which is all the verdict rules read from it:
+    "zero", "inf", "positive-integer", "negative-integer", "above-one" (the
+    non-integers above 1), "euler" (the non-integers p/q that meet the
+    Euler congruence q = 1 mod |p|) or "other".
+
+    The seven cells partition the slopes.  Every integer meets the
+    congruence, as q = 1.  A non-integer p/q has q >= 2, and |p| > q would
+    give 0 < q - 1 < |p|, so it meets the congruence only when |p| < q:
+    "euler" and "other" both lie below 1."""
     num, den = s.num, s.den
     if num == 0:
         return "zero"
     if den == 0:
         return "inf"
-    return (num >= den, den == 1, den == 1 and num < 0,
-            _euler_congruence(abs(num), den))
+    if den == 1:
+        return "positive-integer" if num > 0 else "negative-integer"
+    if num > den:
+        return "above-one"
+    return "euler" if _euler_congruence(abs(num), den) else "other"
+
+
+# The cells at or above the L-space threshold 1, and the cells that meet
+# the Euler congruence.
+_AT_LEAST_ONE = ("positive-integer", "above-one")
+_EULER = ("positive-integer", "negative-integer", "euler")
 
 
 @functools.cache
 def _decide(f1, f2):
-    """The verdict rules, on the facts of the two slopes."""
+    """The verdict rules, on the cells of the two slopes."""
     na = Ternary.NOT_APPLICABLE
     if "zero" in (f1, f2):
         return _Decision(False, na, na, na, Orderable.NOT_APPLICABLE,
@@ -163,21 +179,20 @@ def _decide(f1, f2):
         # the result is a lens space or the three-sphere.
         return _Decision(True, Ternary.YES, Ternary.NO, na, Orderable.NO,
                          ("lens-space-filling", "nonorderable-lens-or-s3"))
-    (ge1, int1, negint1, euler1), (ge2, int2, negint2, euler2) = f1, f2
-    is_lspace = ge1 and ge2
+    is_lspace = f1 in _AT_LEAST_ONE and f2 in _AT_LEAST_ONE
     if is_lspace:
         lspace, foliation, euler = Ternary.YES, Ternary.NO, na
         citations = ["lspace-threshold"]
     else:
         lspace, foliation = Ternary.NO, Ternary.YES
-        euler = Ternary.YES if euler1 and euler2 else Ternary.NO
+        euler = Ternary.YES if f1 in _EULER and f2 in _EULER else Ternary.NO
         citations = ["foliation-below-one", "euler-congruence"]
     lo_yes, lo_no = [], []
     if euler is Ternary.YES:
         lo_yes.append("orderable-from-euler-vanishing")
-    if negint1 or negint2:
+    if "negative-integer" in (f1, f2):
         lo_yes.append("orderable-negative-integer-fiber")
-    if is_lspace and (int1 or int2):
+    if is_lspace and "positive-integer" in (f1, f2):
         lo_no.append("nonorderable-positive-integer-lspace")
     orderable = (Orderable.YES if lo_yes else Orderable.NO if lo_no
                  else Orderable.UNKNOWN)

@@ -77,8 +77,10 @@ def test_comparisons_match_fractions():
 
 
 def test_comparison_with_infinity_rejected():
-    with pytest.raises(ValueError):
-        INF < ONE
+    for compare in (lambda: INF < ONE, lambda: ONE < INF,
+                    lambda: ONE >= INF):
+        with pytest.raises(ValueError, match="undefined for the infinity"):
+            compare()
     with pytest.raises(TypeError):
         ONE < 1
 

@@ -464,14 +464,26 @@ def _oracle_classify(s1, s2):
         left_orderable=orderable, citations=tuple(citations))
 
 
-# One slope for each set of facts a slope can have.  Every integer passes
-# the congruence (q = 1), every negative slope is below 1, and a
-# non-integer p/q >= 1 has p > q > 1, so 0 < q - 1 < p and the congruence
-# fails there: of the 16 fact tuples only 5 occur, and with "zero" and
-# "inf" that makes 7 (3/2 and 7/5 share theirs, as do 1/2 and 5/6).
+# One slope or more for each cell a slope can lie in (3/2 and 7/5 share
+# theirs, as do 1/2 and 5/6).
 FACT_REPRESENTATIVES = [q(0), INF, q(1), q(-3), q(1, 2), q(5, 6), q(3, 2),
                         q(7, 5), q(3, 5)]
 REALIZABLE_FACTS = frozenset(_facts(s) for s in FACT_REPRESENTATIVES)
+SEVEN_CELLS = {"zero", "inf", "positive-integer", "negative-integer",
+               "above-one", "euler", "other"}
+
+# The cell each combination of four facts of a nonzero finite slope names,
+# the facts being (s >= 1, integer, negative integer, Euler congruence).
+# Every integer passes the congruence (q = 1), every negative slope is
+# below 1, and a non-integer p/q >= 1 has p > q > 1, so 0 < q - 1 < p and
+# the congruence fails there: of the 16 combinations only these 5 occur.
+CELL_OF_FACTS = {
+    (True, True, False, True): "positive-integer",
+    (False, True, True, True): "negative-integer",
+    (True, False, False, False): "above-one",
+    (False, False, False, True): "euler",
+    (False, False, False, False): "other",
+}
 
 _slopes = st.one_of(
     st.just(INF),
@@ -480,8 +492,30 @@ _slopes = st.one_of(
 
 
 def test_realizable_facts_are_seven():
-    assert len(REALIZABLE_FACTS) == 7
-    assert {"zero", "inf"} <= REALIZABLE_FACTS
+    assert REALIZABLE_FACTS == SEVEN_CELLS
+
+
+def test_cells_partition_slopes_exhaustively():
+    # Every p/q in lowest terms with |p| <= 300 and 0 <= q <= 300 (109,593
+    # pairs; 1/0 and -1/0 are both infinity) lies in the one cell that its
+    # four facts, read literally, name.
+    assert len(set(CELL_OF_FACTS.values())) == len(CELL_OF_FACTS)
+    met = set()
+    for num in range(-300, 301):
+        for den in range(301):
+            if gcd(num, den) != 1:
+                continue
+            if num == 0:
+                want = "zero"
+            elif den == 0:
+                want = "inf"
+            else:
+                want = CELL_OF_FACTS[num >= den, den == 1,
+                                     den == 1 and num < 0,
+                                     (den - 1) % abs(num) == 0]
+            assert _facts(ExtRational(num, den)) == want, (num, den)
+            met.add(want)
+    assert met == SEVEN_CELLS
 
 
 @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
@@ -527,8 +561,9 @@ def test_classify_matches_oracle_on_random_slopes(s1, s2):
 
 
 def test_decide_memo_stays_bounded():
-    # The memo is keyed on facts, not slopes, so distinct slopes do not
-    # grow it: batch memory stays flat however long the input is.
+    # The memo is keyed on cells, not slopes, so distinct slopes do not
+    # grow it past the 49 cell pairs: batch memory stays flat however long
+    # the input is.
     rng = random.Random(56)
     slopes = {INF, q(0)}
     while len(slopes) < 10_000:
@@ -537,4 +572,4 @@ def test_decide_memo_stays_bounded():
     slopes = list(slopes)
     for s1, s2 in zip(slopes, slopes[1:] + slopes[:1]):
         classify(s1, s2)
-    assert _decide.cache_info().currsize <= 64
+    assert _decide.cache_info().currsize <= 49
