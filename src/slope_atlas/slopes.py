@@ -101,31 +101,21 @@ def _sample(piece):
 def arc_intersect(a, b):
     """Intersection of two arcs as a list of pairwise disjoint arcs.
 
-    Two wrap arcs can meet in two pieces, so the result is a list (possibly
-    empty).  No piece is empty, and membership is exact; the decomposition is
-    not canonical.
-
-    The finite endpoints of both arcs and infinity cut the circle into points
-    and open gaps, on each of which both arcs are constant; each cyclic run of
-    pieces that lie in both arcs is one arc.
+    Infinity and the finite endpoints of both arcs cut the circle into
+    points and open gaps, on each of which both arcs are constant.  The
+    result is every point and gap of that cut that lies in both arcs, each
+    as its own arc, in cut order from infinity.  The list may be empty; no
+    piece is empty, and membership is exact.  The decomposition is not
+    canonical: adjacent pieces are not merged.
     """
     cuts = [INF, *sorted({x for arc in (a, b) for x in (arc.start, arc.end)
                           if x.is_finite()})]
-    pieces = []
+    arcs = []
     for lo, hi in zip(cuts, cuts[1:] + cuts[:1]):
-        pieces += [(lo, lo, True), (lo, hi, False)]
-    kept = [a.contains(x) and b.contains(x) for x in map(_sample, pieces)]
-    # No arc is the whole circle, so some piece is dropped; a scan that
-    # starts just after it ends on it, and no run wraps past the scan's end.
-    k = kept.index(False) + 1
-    arcs, run = [], []
-    for piece, keep in zip(pieces[k:] + pieces[:k], kept[k:] + kept[:k]):
-        if keep:
-            run.append(piece)
-        elif run:
-            (start, _, start_closed), (_, end, end_closed) = run[0], run[-1]
-            arcs.append(CircularArc(start, end, start_closed, end_closed))
-            run = []
+        for end, closed in ((lo, True), (hi, False)):
+            x = _sample((lo, end, closed))
+            if a.contains(x) and b.contains(x):
+                arcs.append(CircularArc(lo, end, closed, closed))
     return arcs
 
 

@@ -244,13 +244,17 @@ def test_arc_intersection_exhaustive_on_small_endpoint_set():
 
 
 def test_arc_intersection_can_split_in_two():
+    # The intersection (1,5) u (10,inf) u {inf} u (inf,0) is two arcs of
+    # the circle; it comes back as the pieces of the cut that both hold.
     a = CircularArc(q(1), q(0))    # x > 1, inf, x < 0
     b = CircularArc(q(10), q(5))   # x > 10, inf, x < 5
     pieces = arc_intersect(a, b)
-    assert len(pieces) == 2
-    assert any(p.contains(q(2)) for p in pieces)
-    assert any(p.contains(INF) for p in pieces)
-    assert not any(p.contains(q(7)) for p in pieces)
+    for x in (q(2), q(11), INF, q(-1)):
+        assert any(p.contains(x) for p in pieces), str(x)
+    for x in (q(7), q(5), q(10), q(1), ZERO):
+        assert not any(p.contains(x) for p in pieces), str(x)
+    for x in _sample_points([a, b]):
+        assert sum(p.contains(x) for p in pieces) <= 1, str(x)
 
 
 def _random_region(rng, dim, max_boxes=2):

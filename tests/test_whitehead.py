@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 import random
 from math import gcd
@@ -17,8 +18,8 @@ from slope_atlas.lspace import TorsionProfile
 from slope_atlas.monodromy import (WL_MONODROMY, Monodromy,
                                    OrientationAssignment, TrackTemplate,
                                    coherent_orientations, is_coherent, witness)
-from slope_atlas.slopes import (INF, ONE, POSITIVE_ARC, CircularArc,
-                                ExtRational, Region, parse_slope,
+from slope_atlas.slopes import (BELOW_ONE_ARC, INF, ONE, POSITIVE_ARC,
+                                CircularArc, ExtRational, Region, parse_slope,
                                 region_intersect)
 from slope_atlas.whitehead import (
     FIBER_PAIRING,
@@ -36,6 +37,7 @@ from slope_atlas.whitehead import (
     wl_foliation_region,
     wl_lspace_region,
 )
+from test_slopes import _sample_points
 
 YES, NO, NA = Ternary.YES, Ternary.NO, Ternary.NOT_APPLICABLE
 
@@ -522,6 +524,79 @@ def test_cells_partition_slopes_exhaustively():
 def test_facts_of_any_slope_are_realizable(num, den):
     assume(num or den)
     assert _facts(ExtRational(num, den)) in REALIZABLE_FACTS
+
+
+# ---------------------------------------------------------------------------
+# The two regions and the verdicts, proved on the regions' common cut.
+# ---------------------------------------------------------------------------
+
+def _cut_samples():
+    """One slope in each piece of the circle cut at infinity, 0, 1 and
+    every finite arc endpoint of the two Whitehead regions: each cut point,
+    a midpoint of each gap, one step beyond each end, and infinity."""
+    arcs = [a for r in (wl_lspace_region(), wl_foliation_region())
+            for box in r.boxes for a in box]
+    return _sample_points(arcs + [POSITIVE_ARC, BELOW_ONE_ARC])
+
+
+def test_whitehead_regions_exact_on_their_common_cut():
+    """For every multislope: the two regions are disjoint, together they
+    hold every pair with both numerators nonzero, and a finite pair is in
+    the foliation region exactly when min(s1, s2) < 1.
+
+    Every arc endpoint of both regions, 0 and infinity are cuts, so each
+    region's membership (its boxes' arcs, and its infinity lines'
+    "infinite here, finite and nonzero there"), "numerator nonzero" and,
+    with 1 a cut too, "min < 1" are constant on every product of two
+    pieces of the cut.  The samples hold a slope of every piece, so their
+    64 pairs decide every multislope.
+    """
+    lspace, foliation = wl_lspace_region(), wl_foliation_region()
+    samples = _cut_samples()
+    assert len(samples) == 8    # the cuts inf, -1, 0 and 1, and four gaps
+    for m in itertools.product(samples, repeat=2):
+        in_lspace, in_foliation = lspace.contains(m), foliation.contains(m)
+        assert not (in_lspace and in_foliation), m
+        if all(s.num for s in m):
+            assert in_lspace or in_foliation, m
+        if all(s.is_finite() for s in m):
+            assert in_foliation == (min(m) < ONE), m
+
+
+def _side(cell):
+    """Where the slopes of a cell lie against the cuts 0, 1 and infinity:
+    "zero", "inf", "at-least-one" or "below-one".  The last two are read
+    from the "s >= 1" fact that `CELL_OF_FACTS` names the cell by."""
+    if cell in ("zero", "inf"):
+        return cell
+    at_least_one = next(f[0] for f, c in CELL_OF_FACTS.items() if c == cell)
+    return "at-least-one" if at_least_one else "below-one"
+
+
+def test_classify_agrees_with_the_regions_for_every_multislope():
+    """Where both numerators are nonzero, the lspace and taut_foliation
+    fields of `classify` are membership in the two regions, for every
+    multislope.
+
+    Over all 49 cell pairs the two fields depend only on each cell's side.
+    Each side is a union of pieces of the regions' common cut, so the
+    fields are constant on every product of two pieces, as the region
+    memberships are; agreement on the cut samples' pairs is then agreement
+    everywhere.
+    """
+    fields = {}
+    for f1, f2 in itertools.product(SEVEN_CELLS, repeat=2):
+        d = _decide(f1, f2)
+        fields.setdefault((_side(f1), _side(f2)), set()).add(
+            (d.lspace, d.taut_foliation))
+    assert len(fields) == 16
+    assert all(len(v) == 1 for v in fields.values()), fields
+    lspace, foliation = wl_lspace_region(), wl_foliation_region()
+    for m in itertools.product(_cut_samples(), repeat=2):
+        if all(s.num for s in m):
+            v = classify(*m)
+            assert (v.lspace is YES) == lspace.contains(m), m
+            assert (v.taut_foliation is YES) == foliation.contains(m), m
 
 
 def test_rules_never_conflict():
