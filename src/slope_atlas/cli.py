@@ -54,11 +54,11 @@ def _region_lines(r):
 
 @contextlib.contextmanager
 def _atomic_out(path, newline=None):
-    """Text handle whose contents replace ``path`` only when the block
+    """UTF-8 text handle whose contents replace ``path`` only when the block
     completes.  A target ``open(path, "w")`` would refuse is refused; a new
-    file gets the mode that call gives and an existing one keeps its mode.
-    The result is a new file, so hard links to the old one keep the old
-    contents and its owner is the writer.  No ``path`` means stdout."""
+    file gets that call's mode and an existing one keeps its mode.  The
+    result is a new file: hard links to the old one keep the old contents
+    and its owner is the writer.  No ``path`` means stdout, as it is set."""
     if not path:
         yield sys.stdout
         return
@@ -68,7 +68,7 @@ def _atomic_out(path, newline=None):
         st = None
     if st is not None and not stat.S_ISREG(st.st_mode):
         # A device or pipe such as /dev/stdout cannot be replaced.
-        with open(path, "w", newline=newline) as fh:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
         return
     if st is not None:
@@ -81,7 +81,7 @@ def _atomic_out(path, newline=None):
         exc.filename = path
         raise
     try:
-        with open(fd, "w", newline=newline) as fh:
+        with open(fd, "w", newline=newline, encoding="utf-8") as fh:
             if st is not None:
                 os.chmod(fd, stat.S_IMODE(st.st_mode))
             yield fh
@@ -182,9 +182,10 @@ def parse_batch_header(row):
                      "'id,s1,s2' or 'id,s1,s2,label'")
 
 
-def _token_cell(s):
-    """A batch run's entry for a slope token: str(s), str(abs(s.num)) and
-    the slope's cell ``_facts(s)``."""
+def _token_cell(text):
+    """A batch run's entry for the slope field ``text``: str(s),
+    str(abs(s.num)) and the cell ``_facts(s)`` of s = parse_slope(text)."""
+    s = parse_slope(text)
     return str(s), str(abs(s.num)), _facts(s)
 
 
@@ -209,14 +210,13 @@ def cmd_batch(args):
     import csv   # only batch reads CSV
     header = "id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable"
     agree = failures = 0
-    # Stripped slope token -> its _token_cell, or the bare slope until a
-    # row with it parses; cleared when full.
+    # Stripped slope token -> its _token_cell; cleared when full.
     seen = {}
     get, put = seen.get, seen.setdefault
     # (cell, cell) -> _pair_entry; only 49 cell pairs exist, so it is
     # never cleared.
     pairs = {}
-    with open(args.input, newline="") as fh:
+    with open(args.input, newline="", encoding="utf-8-sig") as fh:
         rows = csv.reader(fh)
         try:
             first = next(rows, None)
@@ -241,18 +241,14 @@ def cmd_batch(args):
                             raise ValueError(
                                 f"expected {width} fields, got {len(row)}")
                         t1, t2 = row[1].strip(), row[2].strip()
-                        c1 = get(t1) or put(t1, parse_slope(row[1]))
-                        c2 = get(t2) or put(t2, parse_slope(row[2]))
+                        c1 = get(t1) or put(t1, _token_cell(row[1]))
+                        c2 = get(t2) or put(t2, _token_cell(row[2]))
                     except ValueError as exc:
                         failures += 1
                         print(f"{args.input}:{lineno}: {exc}",
                               file=sys.stderr)
                         continue
                     # Outside the try: an error from the rules aborts the run.
-                    if c1.__class__ is ExtRational:
-                        c1 = seen[t1] = _token_cell(c1)
-                    if c2.__class__ is ExtRational:
-                        c2 = seen[t2] = _token_cell(c2)
                     key = c1[2], c2[2]
                     pair = pairs.get(key)
                     if pair is None:
@@ -261,18 +257,16 @@ def cmd_batch(args):
                     ident = row[0].strip()
                     if _csv_special(ident):
                         ident = _csv_quoted(ident)
+                    tail = ""
                     if has_label:
                         label = row[3].strip()
                         ok = label == pair[2]
                         agree += ok
                         if _csv_special(label):
                             label = _csv_quoted(label)
-                        write(f"{ident},{c1[0]},{c2[0]},{pair[0]},{c1[1]},"
-                              f"{c2[1]},{pair[1]},{label},"
-                              f"{'true' if ok else 'false'}\n")
-                    else:
-                        write(f"{ident},{c1[0]},{c2[0]},{pair[0]},{c1[1]},"
-                              f"{c2[1]},{pair[1]}\n")
+                        tail = f",{label},{'true' if ok else 'false'}"
+                    write(f"{ident},{c1[0]},{c2[0]},{pair[0]},{c1[1]},"
+                          f"{c2[1]},{pair[1]}{tail}\n")
         except csv.Error as exc:
             raise ValueError(str(exc)) from None
     done = 0

@@ -544,25 +544,27 @@ def test_batch_bad_header_and_empty_file(tmp_path, capsys):
 
 
 def test_batch_out_is_atomic(tmp_path, capsys, monkeypatch):
-    src = _write_csv(tmp_path / "in.csv", "id,s1,s2\na,1,1\nb,2,2\nc,3,3\n")
+    src = _write_csv(tmp_path / "in.csv",
+                     "id,s1,s2\na,1,1\nb,2,2\nc,1/2,1/2\n")
     out = tmp_path / "out.csv"
     out.write_bytes(b"old contents\n")
-    facts = cli._facts
+    decide = cli._decide
 
-    def failing_facts(s):
-        # Row 3 is the only row whose first slope is 3; the cached verdict
-        # cells are shared by all three rows, so the fault goes in here.
-        if str(s) == "3":
+    def failing_decide(f1, f2):
+        # The rules run once per new pair of slope cells: rows 1 and 2 share
+        # (positive-integer, positive-integer), so the fault fires on the
+        # (euler, euler) pair that row 3 brings, after two rows are written.
+        if (f1, f2) == ("euler", "euler"):
             raise ValueError("rules disagree")
-        return facts(s)
+        return decide(f1, f2)
 
-    monkeypatch.setattr(cli, "_facts", failing_facts)
+    monkeypatch.setattr(cli, "_decide", failing_decide)
     assert run_cli("batch", src, "--out", str(out)) == 2
     assert "rules disagree" in capsys.readouterr().err
     assert out.read_bytes() == b"old contents\n"
     assert sorted(os.listdir(tmp_path)) == ["in.csv", "out.csv"]
 
-    monkeypatch.setattr(cli, "_facts", facts)
+    monkeypatch.setattr(cli, "_decide", decide)
     old_umask = os.umask(0o027)
     try:
         fresh = tmp_path / "fresh.csv"
@@ -606,21 +608,86 @@ def test_batch_out_is_atomic(tmp_path, capsys, monkeypatch):
         "fresh.csv", "fresh.json", "in.csv", "out.csv"]
 
 
+def _run_child(*argv, **env):
+    """Exit code, stdout and stderr bytes of a fresh interpreter that runs
+    ``python ARGV`` with the package importable and ``env`` set."""
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                          env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_batch_out_to_piped_stdout(tmp_path):
     # /dev/stdout on a pipe is written in place, not replaced.
     src = _write_csv(tmp_path / "in.csv", "id,s1,s2\na,1,1\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "slope_atlas.cli", "batch", src,
-         "--out", "/dev/stdout"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith(
-        "id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable\n"
-        "a,1,1,")
-    assert "rows: 1\n" in proc.stdout
+    code, out, err = _run_child("-m", "slope_atlas.cli", "batch", src,
+                                "--out", "/dev/stdout")
+    assert code == 0, err
+    assert out.startswith(
+        b"id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable\n"
+        b"a,1,1,")
+    assert b"rows: 1\n" in out
     assert sorted(os.listdir(tmp_path)) == ["in.csv"]
+
+
+# An ASCII locale with neither the UTF-8 mode nor locale coercion, in which
+# open() with no encoding reads and writes ASCII.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_batch_files_are_utf8_in_an_ascii_locale(tmp_path):
+    code, out, _ = _run_child(
+        "-c", "import locale; print(locale.getpreferredencoding(False))",
+        **ASCII_LOCALE)
+    assert code == 0 and b"utf" not in out.lower()
+    src = tmp_path / "in.csv"
+    src.write_bytes("id,s1,s2,label\nré,1/2,1/2,über\n".encode())
+    dst = tmp_path / "out.csv"
+    code, _, err = _run_child("-m", "slope_atlas.cli", "batch", str(src),
+                              "--out", str(dst), **ASCII_LOCALE)
+    assert code == 0, err
+    assert dst.read_bytes() == (
+        "id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable,"
+        "label,agrees\nré,1/2,1/2,true,1,1,no,yes,yes,yes,über,false\n"
+    ).encode()
+
+    # A file that is not UTF-8 is bad input: one error line, no output.
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes("id,s1,s2\nré,1,1\n".encode("latin-1"))
+    code, out, err = _run_child("-m", "slope_atlas.cli", "batch", str(latin),
+                                "--out", str(tmp_path / "latin-out.csv"),
+                                **ASCII_LOCALE)
+    assert code == 2 and out == b""
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["in.csv", "latin.csv", "out.csv"]
+
+
+def test_batch_accepts_a_byte_order_mark(tmp_path, capsys):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM.
+    text = "id,s1,s2,label\nré,1,1,no\nb,-3,5/6,yes\n"
+    outs = []
+    for name, data in (("plain", text.encode()),
+                       ("bom", b"\xef\xbb\xbf" + text.encode())):
+        src = tmp_path / f"{name}.csv"
+        src.write_bytes(data)
+        dst = tmp_path / f"{name}-out.csv"
+        assert run_cli("batch", str(src), "--out", str(dst)) == 0
+        outs.append((dst.read_bytes(), capsys.readouterr()))
+    assert outs[0] == outs[1]
+    assert outs[0][0].startswith(b"id,s1,s2,qhs,")
+
+
+def test_cli_files_name_their_encoding(tmp_path):
+    # Under -X warn_default_encoding, an open() with no encoding warns, and
+    # -W error turns the warning into a traceback and exit 1.
+    src = _write_csv(tmp_path / "in.csv", "id,s1,s2\na,1,1\nb,1/2,inf\n")
+    for argv in (["classify", "1", "1"], ["plot", "--bounds", "1:2,1:2"],
+                 ["region"], ["batch", src]):
+        code, _, err = _run_child(
+            "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "slope_atlas.cli", *argv, "--out", str(tmp_path / "out"))
+        assert code == 0, err
 
 
 def test_batch_csv_error_exits_2(tmp_path, capsys):
