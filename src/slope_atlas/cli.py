@@ -14,9 +14,10 @@ import stat
 import sys
 from types import SimpleNamespace
 
-from .rational import (INT_RE, ExtRational, parse_int, parse_slope,
-                       shown_token)
+from .rational import (INT_RE, ExtRational, format_terms, parse_int,
+                       parse_slope, shown_token, slope_terms)
 from .whitehead import (
+    _cell,
     _decide,
     _facts,
     classify,
@@ -183,10 +184,10 @@ def parse_batch_header(row):
 
 
 def _token_cell(text):
-    """A batch run's entry for the slope field ``text``: str(s),
-    str(abs(s.num)) and the cell ``_facts(s)`` of s = parse_slope(text)."""
-    s = parse_slope(text)
-    return str(s), str(abs(s.num)), _facts(s)
+    """A batch run's entry for the slope field ``text``, read as lowest
+    terms (num, den): the slope's text, the text of abs(num) and its cell."""
+    num, den = slope_terms(text)
+    return format_terms(num, den), str(abs(num)), _cell(num, den)
 
 
 def _pair_entry(f1, f2):
@@ -217,7 +218,7 @@ def cmd_batch(args):
     # never cleared.
     pairs = {}
     with open(args.input, newline="", encoding="utf-8-sig") as fh:
-        rows = csv.reader(fh)
+        rows, end = csv.reader(fh), 0
         try:
             first = next(rows, None)
             if first is None:
@@ -268,7 +269,7 @@ def cmd_batch(args):
                     write(f"{ident},{c1[0]},{c2[0]},{pair[0]},{c1[1]},"
                           f"{c2[1]},{pair[1]}{tail}\n")
         except csv.Error as exc:
-            raise ValueError(str(exc)) from None
+            raise ValueError(f"{args.input}:{end + 1}: {exc}") from None
     done = 0
     tally = dict.fromkeys(["lspace", "foliation", "non-qhs"] + [
         f"left-orderable {k}" for k in ("yes", "no", "unknown", "na")], 0)

@@ -52,6 +52,23 @@ class Record:
             f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
 
 
+def lowest_terms(num, den):
+    """The slope num/den in lowest terms with den >= 0; 0/0 raises."""
+    g = math.gcd(num, den)
+    if den == 0:
+        if num == 0:
+            raise ValueError("0/0 is not a slope")
+        return 1, 0
+    if den < 0:
+        g = -g
+    return (num, den) if g == 1 else (num // g, den // g)
+
+
+def format_terms(num, den):
+    """The text of the slope with lowest terms (num, den): inf, p or p/q."""
+    return str(num) if den == 1 else f"{num}/{den}" if den else "inf"
+
+
 class ExtRational(Record):
     """A slope p/q in lowest terms with q >= 0, where 1/0 is infinity.
 
@@ -67,15 +84,7 @@ class ExtRational(Record):
         if type(num) is not int or type(den) is not int:
             raise ValueError("slope components must be integers, got "
                              f"({num!r}, {den!r})")
-        g = math.gcd(num, den)
-        if den <= 0 or g != 1:
-            if den == 0:
-                if num == 0:
-                    raise ValueError("0/0 is not a slope")
-                num = g = 1
-            elif den < 0:
-                g = -g
-            num, den = num // g, den // g
+        num, den = lowest_terms(num, den)
         _set_num(self, num)
         _set_den(self, den)
 
@@ -122,11 +131,7 @@ class ExtRational(Record):
         return a >= b
 
     def __str__(self):
-        if self.den == 0:
-            return "inf"
-        if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+        return format_terms(self.num, self.den)
 
     def __repr__(self):
         return f"ExtRational({self})"
@@ -168,21 +173,26 @@ def parse_int(text, what):
     raise ValueError(f"invalid {what} {shown_token(text)!r}")
 
 
-def parse_slope(text):
-    """Parse 'p', 'p/q' or 'inf' into a slope.
+def slope_terms(text):
+    """Read 'p', 'p/q' or 'inf' into the slope's lowest terms (num, den).
 
     Raises ValueError naming the offending token, cut to MAX_SLOPE_TOKEN
     characters, on anything else.
     """
     tok = text.strip()
     m = len(tok) <= MAX_SLOPE_TOKEN and _match_slope(tok)
+    why = ""
     if m:
         num, den = m.groups()
         if num is None:
-            return INF
-        num, den = int(num), int(den or 1)
-        if num or den:
-            return ExtRational(num, den)
-    raise ValueError(f"invalid slope token {shown_token(text)!r}"
-                     + (" (0/0 is not a slope)" if m else ""))
+            return 1, 0
+        try:
+            return lowest_terms(int(num), int(den or 1))
+        except ValueError as exc:   # 0/0
+            why = f" ({exc})"
+    raise ValueError(f"invalid slope token {shown_token(text)!r}{why}")
 
+
+def parse_slope(text):
+    """The slope of the token ``text``, read by `slope_terms`."""
+    return ExtRational(*slope_terms(text))

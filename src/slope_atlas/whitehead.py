@@ -139,17 +139,16 @@ _Decision = collections.namedtuple("_Decision", [
     "left_orderable", "citations"])
 
 
-def _facts(s):
-    """The cell of one slope, which is all the verdict rules read from it:
-    "zero", "inf", "positive-integer", "negative-integer", "above-one" (the
-    non-integers above 1), "euler" (the non-integers p/q that meet the
-    Euler congruence q = 1 mod |p|) or "other".
+def _cell(num, den):
+    """The cell of the slope num/den in lowest terms, which is all the
+    verdict rules read from it: "zero", "inf", "positive-integer",
+    "negative-integer", "above-one" (the non-integers above 1), "euler" (the
+    non-integers p/q that meet the Euler congruence q = 1 mod |p|) or "other".
 
     The seven cells partition the slopes.  Every integer meets the
     congruence, as q = 1.  A non-integer p/q has q >= 2, and |p| > q would
     give 0 < q - 1 < |p|, so it meets the congruence only when |p| < q:
     "euler" and "other" both lie below 1."""
-    num, den = s.num, s.den
     if num == 0:
         return "zero"
     if den == 0:
@@ -159,6 +158,11 @@ def _facts(s):
     if num > den:
         return "above-one"
     return "euler" if _euler_congruence(abs(num), den) else "other"
+
+
+def _facts(s):
+    """The cell of the slope s."""
+    return _cell(s.num, s.den)
 
 
 # The cells at or above the L-space threshold 1, and the cells that meet

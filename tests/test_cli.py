@@ -15,17 +15,28 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from slope_atlas import cli
-from slope_atlas.slopes import (MAX_SLOPE_TOKEN, CircularArc, ExtRational,
-                                Region, parse_slope, region_intersect)
+from slope_atlas.rational import slope_terms
+from slope_atlas.slopes import (INF, MAX_SLOPE_TOKEN, CircularArc,
+                                ExtRational, Region, parse_slope,
+                                region_intersect)
 from slope_atlas.whitehead import _facts, classify, plot_class
+from test_whitehead import literal_cell
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _child_env(**env):
+    """The environment of a child interpreter: this one's, with ``env`` set
+    and the package importable."""
+    return dict(os.environ, **env,
+                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +173,7 @@ def test_main_calls_the_command_function_bound_when_it_runs(
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "slope_atlas.cli", "classify", "1", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lspace"] == "yes"
 
@@ -611,10 +622,8 @@ def test_batch_out_is_atomic(tmp_path, capsys, monkeypatch):
 def _run_child(*argv, **env):
     """Exit code, stdout and stderr bytes of a fresh interpreter that runs
     ``python ARGV`` with the package importable and ``env`` set."""
-    env = dict(os.environ, **env,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, *argv], capture_output=True,
-                          env=env)
+                          env=_child_env(**env))
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -696,7 +705,11 @@ def test_batch_csv_error_exits_2(tmp_path, capsys):
                      "id,s1,s2\na,1,1\nb,1," + "9" * 200_000 + "\n")
     out = tmp_path / "out.csv"
     assert run_cli("batch", src, "--out", str(out)) == 2
-    assert "field larger than field limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "field larger than field limit" in err
+    # It names the file and the line its record starts on, as a row
+    # diagnostic does.
+    assert "in.csv:3: " in err
     assert sorted(os.listdir(tmp_path)) == ["in.csv"]
 
 
@@ -716,10 +729,9 @@ def _peak_mib(*argv):
         "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "    peak //= 1024 if sys.platform == 'darwin' else 1\n"
         "print(rc, peak)\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=_child_env(),
+                          check=True)
     rc, peak_kib = proc.stdout.split()[-2:]
     return rc, int(peak_kib) / 1024
 
@@ -798,6 +810,52 @@ FACT_REPRESENTATIVES = ("0", "inf", "1", "-3", "1/2", "5/6", "3/2", "7/5",
 # Spellings that parse to slopes of those facts but are not canonical.
 ODD_SPELLINGS = ("0/-7", "-6/-4", "2/-1", "-4/0", "1000001/1000000",
                  "1000000/1000001", "-1000000/2000001", "999999/-1000000")
+
+
+# Malformed slope fields, each with the message that reading it raises.
+MALFORMED_SLOPES = {
+    "0/0": "invalid slope token '0/0' (0/0 is not a slope)",
+    "-0/-0": "invalid slope token '-0/-0' (0/0 is not a slope)",
+    "+3": "invalid slope token '+3'",
+    "1_0": "invalid slope token '1_0'",
+    "1" * (MAX_SLOPE_TOKEN + 1):
+        "invalid slope token '" + "1" * MAX_SLOPE_TOKEN + "...'",
+    "\uff11": "invalid slope token '\uff11'",
+    "1/0/2": "invalid slope token '1/0/2'",
+    "1.5": "invalid slope token '1.5'",
+    "x": "invalid slope token 'x'",
+    "": "invalid slope token ''",
+}
+
+
+def test_token_entry_matches_the_slope_built_from_ints():
+    # Every p/q in lowest terms with |p| <= 60 and 0 <= q <= 60, in its
+    # four sign spellings and, when q = 1, as an integer, with the odd
+    # spellings, -0, leading zeros, padding and inf: each field reads to
+    # the entry of the ExtRational built from the ints int() reads in it,
+    # with the cell its four facts name.
+    tokens = ["inf", "-0", "007/010", "-007", "00/-07", "  5/6  ", " -7 ",
+              *ODD_SPELLINGS]
+    for a in range(61):
+        for b in range(61):
+            if gcd(a, b) == 1:
+                tokens += [f"{sa}{a}/{sb}{b}" for sa in ("", "-")
+                           for sb in ("", "-")]
+                tokens += [f"{a}", f"-{a}"] * (b == 1)
+    assert len(tokens) == 15 + 4 * 2205 + 2 * 61   # 2,205 pairs p/q
+    for tok in tokens:
+        num, _, den = tok.strip().partition("/")
+        s = INF if num == "inf" else ExtRational(int(num), int(den or 1))
+        assert parse_slope(tok) == s, tok
+        assert cli._token_cell(tok) == (
+            str(s), str(abs(s.num)), literal_cell(s.num, s.den)), tok
+        if s.den:
+            assert str(s) == str(Fraction(s.num, s.den))
+    for bad, msg in MALFORMED_SLOPES.items():
+        for read in (cli._token_cell, parse_slope):
+            with pytest.raises(ValueError) as err:
+                read(bad)
+            assert str(err.value) == msg
 
 
 def _pairwise_batch(path):
@@ -931,7 +989,7 @@ def _distinct_tokens(rng, n):
 
 
 def _expected_parse_calls(pairs, cap):
-    """`parse_slope` calls a batch run makes on rows of (s1, s2) fields
+    """`slope_terms` calls a batch run makes on rows of (s1, s2) fields
     with a token table of ``cap`` entries: one per stripped token that is
     not in the table, which a valid token then joins (a field after a
     malformed one is not read); the table is emptied before a row that
@@ -945,7 +1003,7 @@ def _expected_parse_calls(pairs, cap):
                 continue
             calls += 1
             try:
-                parse_slope(tok)
+                slope_terms(tok)
             except ValueError:
                 break
             table.add(tok.strip())
@@ -969,9 +1027,9 @@ def test_batch_parses_each_distinct_token_once(tmp_path, capsys,
 
     def counted(text):
         calls.append(text)
-        return parse_slope(text)
+        return slope_terms(text)
 
-    monkeypatch.setattr(cli, "parse_slope", counted)
+    monkeypatch.setattr(cli, "slope_terms", counted)
     cap = cli._BATCH_TOKENS
 
     def run(pairs, size=cap):
@@ -1073,11 +1131,10 @@ def _loaded_after(runs, then=""):
         "        contextlib.redirect_stderr(io.StringIO()):\n"
         "    codes = [cli.main(arg.split('\\x1f')) for arg in sys.argv[1:]]\n"
         + then + "print(*codes, *sys.modules)\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", script,
                            *("\x1f".join(argv) for argv in runs)],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=_child_env(),
+                          check=True)
     words = proc.stdout.split()
     return words[:len(runs)], set(words[len(runs):])
 

@@ -22,6 +22,7 @@ from slope_atlas.slopes import (BELOW_ONE_ARC, INF, ONE, POSITIVE_ARC,
                                 CircularArc, ExtRational, Region, parse_slope,
                                 region_intersect)
 from slope_atlas.whitehead import (
+    _EULER,
     FIBER_PAIRING,
     EulerBoundary,
     Orderable,
@@ -487,6 +488,18 @@ CELL_OF_FACTS = {
     (False, False, False, False): "other",
 }
 
+
+def literal_cell(num, den):
+    """The cell of the slope num/den in lowest terms, read from its four
+    facts through `CELL_OF_FACTS` literally."""
+    if num == 0:
+        return "zero"
+    if den == 0:
+        return "inf"
+    return CELL_OF_FACTS[num >= den, den == 1, den == 1 and num < 0,
+                         (den - 1) % abs(num) == 0]
+
+
 _slopes = st.one_of(
     st.just(INF),
     st.builds(ExtRational, st.integers(-10**12, 10**12),
@@ -500,23 +513,24 @@ def test_realizable_facts_are_seven():
 def test_cells_partition_slopes_exhaustively():
     # Every p/q in lowest terms with |p| <= 300 and 0 <= q <= 300 (109,593
     # pairs; 1/0 and -1/0 are both infinity) lies in the one cell that its
-    # four facts, read literally, name.
+    # four facts, read literally, name.  On every nonzero finite slope the
+    # Euler cells, criterion 8's reduced form |q| = 1 mod p and the general
+    # a*q = b mod p of `euler_criterion` agree: with a = -1 that reads
+    # -q = -1 for q > 0 and -q = 1 for q < 0 (mod p), both |q| = 1.
     assert len(set(CELL_OF_FACTS.values())) == len(CELL_OF_FACTS)
     met = set()
     for num in range(-300, 301):
         for den in range(301):
             if gcd(num, den) != 1:
                 continue
-            if num == 0:
-                want = "zero"
-            elif den == 0:
-                want = "inf"
-            else:
-                want = CELL_OF_FACTS[num >= den, den == 1,
-                                     den == 1 and num < 0,
-                                     (den - 1) % abs(num) == 0]
-            assert _facts(ExtRational(num, den)) == want, (num, den)
+            want = literal_cell(num, den)
+            s = ExtRational(num, den)
+            assert _facts(s) == want, (num, den)
             met.add(want)
+            if num and den:
+                euler = want in _EULER
+                assert euler == wl_euler_vanishes(s, ONE), s
+                assert euler == euler_criterion(wl_euler_data(s, ONE), True), s
     assert met == SEVEN_CELLS
 
 
