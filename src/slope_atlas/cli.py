@@ -19,7 +19,6 @@ from .rational import (INT_RE, ExtRational, format_terms, parse_int,
 from .whitehead import (
     _cell,
     _decide,
-    _facts,
     classify,
     plot_class,
     wl_foliation_region,
@@ -328,27 +327,13 @@ def svg_coord(value, lo, hi, flip=False):
     return f"{top / span:.2f}"
 
 
-def _svg_scatter(out, values, facts, rows):
-    """Write to ``out`` the SVG scatter with ``rows[facts[i]][j]`` drawn at
-    (values[i], values[j]), ``values`` sorted; a row may run past
-    ``values``."""
-    lo, hi = values[0], values[-1]
-    ys = [svg_coord(v, lo, hi, flip=True) for v in values]
-    # Each row's circles differ only in cx, so their tails are formatted
-    # once per cell.
-    tails = {f: [f'" cy="{cy}" r="3" fill="{_PLOT_COLORS[cls]}"/>\n'
-                 for cy, cls in zip(ys, rows[f])] for f in set(facts)}
-    out.write('<svg xmlns="http://www.w3.org/2000/svg" width="640" '
-              'height="640" viewBox="0 0 640 640">\n'
-              '<rect width="640" height="640" fill="white"/>\n'
-              '<rect x="40" y="40" width="560" height="560" fill="none" '
-              'stroke="black"/>\n')
-    for v, f in zip(values, facts):
-        head = '<circle cx="' + svg_coord(v, lo, hi)
-        out.write(head + head.join(tails[f]))
-    out.write('<text x="40" y="24" font-size="12">'
-              'red: lspace  blue: foliation  gray: non-qhs</text>\n'
-              '</svg>\n')
+_SVG_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+             'height="640" viewBox="0 0 640 640">\n'
+             '<rect width="640" height="640" fill="white"/>\n'
+             '<rect x="40" y="40" width="560" height="560" fill="none" '
+             'stroke="black"/>\n')
+_SVG_FOOT = ('<text x="40" y="24" font-size="12">'
+             'red: lspace  blue: foliation  gray: non-qhs</text>\n</svg>\n')
 
 
 def cmd_plot(args):
@@ -364,27 +349,35 @@ def cmd_plot(args):
     slopes = grid_slopes(bounds, max_den)
     if not slopes:
         raise ValueError("bounds produce no slopes")
-    # A row of classes depends only on the cell of its slope, and only
-    # seven cells exist, so each row is decided and rendered once per cell.
-    facts = [_facts(s) for s in slopes]
-    classes = {f1: [plot_class(_decide(f1, f2)) for f2 in facts]
-               for f1 in set(facts)}
+    # Both formats write the pair (a, b) as head(a) + column(b) +
+    # label(class) + end, so a slope's block is its head joined onto the
+    # tails of its row.
     if args.format == "svg":
         # Infinity sorts last, so the finite slopes are a prefix of the grid.
-        finite = slopes[:-1] if slopes[-1].is_infinite() else slopes
-        if not finite:
+        if slopes[-1].is_infinite():
+            slopes.pop()
+        if not slopes:
             raise ValueError("no finite slope pairs to plot")
-        with _atomic_out(args.out) as out:
-            _svg_scatter(out, finite, facts[:len(finite)], classes)
-        return 0
-    names = [str(s) for s in slopes]
-    tails = {f: [f"\t{b}\t{cls}\n" for b, cls in zip(names, row)]
-             for f, row in classes.items()}
+        lo, hi = slopes[0], slopes[-1]
+        heads = ('<circle cx="' + svg_coord(s, lo, hi) for s in slopes)
+        columns = [f'" cy="{svg_coord(s, lo, hi, flip=True)}" r="3" fill="'
+                   for s in slopes]
+        label, end, top, foot = _PLOT_COLORS.get, '"/>\n', _SVG_HEAD, _SVG_FOOT
+    else:
+        heads = [str(s) for s in slopes]
+        columns = [f"\t{b}\t" for b in heads]
+        label, end, top, foot = str, "\n", "s1\ts2\tclass\n", ""
+    # A row of classes depends only on the cell of its slope, and only
+    # seven cells exist, so each row is decided and rendered once per cell.
+    cells = [_cell(s.num, s.den) for s in slopes]
+    tails = {f1: [col + label(plot_class(_decide(f1, f2))) + end
+                  for col, f2 in zip(columns, cells)] for f1 in set(cells)}
     # Each slope's block is written as it is formed, so memory stays flat.
     with _atomic_out(args.out) as out:
-        out.write("s1\ts2\tclass\n")
-        for a, f in zip(names, facts):
-            out.write(a + a.join(tails[f]))
+        out.write(top)
+        for head, f in zip(heads, cells):
+            out.write(head + head.join(tails[f]))
+        out.write(foot)
     return 0
 
 

@@ -5,6 +5,7 @@ q >= 0; the infinity slope is 1/0 and the zero slope is 0/1.  Arcs and
 regions of slopes live in `slopes`, which re-exports the names defined here.
 """
 
+import functools
 import math
 import re
 
@@ -69,6 +70,7 @@ def format_terms(num, den):
     return str(num) if den == 1 else f"{num}/{den}" if den else "inf"
 
 
+@functools.total_ordering
 class ExtRational(Record):
     """A slope p/q in lowest terms with q >= 0, where 1/0 is infinity.
 
@@ -105,30 +107,14 @@ class ExtRational(Record):
     def is_zero(self):
         return self.num == 0
 
-    def _cmp_key(self, other):
+    def __lt__(self, other):
         if not isinstance(other, ExtRational):
             raise TypeError(f"cannot compare slope with {type(other).__name__}")
         if self.den == 0 or other.den == 0:
             raise ValueError("order comparison is undefined for the infinity "
                              "slope")
         # q > 0 on both sides, so cross multiplication preserves order.
-        return self.num * other.den, other.num * self.den
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._cmp_key(other)
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._cmp_key(other)
-        return a >= b
+        return self.num * other.den < other.num * self.den
 
     def __str__(self):
         return format_terms(self.num, self.den)

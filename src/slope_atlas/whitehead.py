@@ -160,11 +160,6 @@ def _cell(num, den):
     return "euler" if _euler_congruence(abs(num), den) else "other"
 
 
-def _facts(s):
-    """The cell of the slope s."""
-    return _cell(s.num, s.den)
-
-
 # The cells at or above the L-space threshold 1, and the cells that meet
 # the Euler congruence.
 _AT_LEAST_ONE = ("positive-integer", "above-one")
@@ -206,7 +201,7 @@ def _decide(f1, f2):
 
 def classify(s1, s2):
     """Full verdict for the surgery multislope (s1, s2)."""
-    d = _decide(_facts(s1), _facts(s2))
+    d = _decide(_cell(s1.num, s1.den), _cell(s2.num, s2.den))
     return SurgeryVerdict((s1, s2), d.is_qhs, (abs(s1.num), abs(s2.num)),
                           *d[1:])
 

@@ -24,7 +24,7 @@ from slope_atlas.rational import slope_terms
 from slope_atlas.slopes import (INF, MAX_SLOPE_TOKEN, CircularArc,
                                 ExtRational, Region, parse_slope,
                                 region_intersect)
-from slope_atlas.whitehead import _facts, classify, plot_class
+from slope_atlas.whitehead import _cell, classify, plot_class
 from test_whitehead import literal_cell
 
 
@@ -1329,7 +1329,8 @@ def test_plot_output_matches_pairwise_rendering(capsys, bounds, max_den):
     den_args = [] if max_den is None else ["--max-den", str(max_den)]
     slopes = cli.grid_slopes(cli.parse_bounds(bounds), max_den)
     if bounds == "-3:3,0:2":
-        assert len(slopes) == 12 and len({_facts(s) for s in slopes}) == 7
+        assert len(slopes) == 12 and len(
+            {_cell(s.num, s.den) for s in slopes}) == 7
     n_finite = sum(s.is_finite() for s in slopes)
     for fmt in ("tsv", "svg"):
         assert run_cli("plot", f"--bounds={bounds}", "--format", fmt,
@@ -1403,6 +1404,20 @@ def test_plot_svg_without_finite_slopes_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no finite slope pairs to plot\n"
+
+
+def test_plot_bounds_without_slopes_exit_2(tmp_path, capsys):
+    # 0/0 is no slope, and 2/4 = 1/2 is cut by --max-den 1.
+    out = tmp_path / "plot.txt"
+    for args in (["--bounds", "0:0,0:0"],
+                 ["--bounds", "2:2,4:4", "--max-den", "1"]):
+        for fmt in ("tsv", "svg"):
+            assert run_cli("plot", *args, "--format", fmt,
+                           "--out", str(out)) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: bounds produce no slopes\n"
+            assert os.listdir(tmp_path) == []
 
 
 def test_plot_rejects_bad_bounds(capsys):

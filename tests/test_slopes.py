@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -66,23 +67,32 @@ def test_normalize_idempotent_and_scale_invariant(num, den):
         assert (s.num, s.den) == (1, 0)
 
 
+ORDER_OPS = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
 def test_comparisons_match_fractions():
     rng = random.Random(7)
     for _ in range(300):
         a = q(rng.randint(-50, 50), rng.randint(1, 20))
         b = q(rng.randint(-50, 50), rng.randint(1, 20))
-        fa, fb = Fraction(a.num, a.den), Fraction(b.num, b.den)
-        assert (a < b) == (fa < fb)
-        assert (a >= b) == (fa >= fb)
+        for x, y in ((a, b), (b, a), (a, a)):
+            fx, fy = Fraction(x.num, x.den), Fraction(y.num, y.den)
+            for op in ORDER_OPS:
+                assert op(x, y) == op(fx, fy), (op, x, y)
 
 
 def test_comparison_with_infinity_rejected():
-    for compare in (lambda: INF < ONE, lambda: ONE < INF,
-                    lambda: ONE >= INF):
-        with pytest.raises(ValueError, match="undefined for the infinity"):
-            compare()
-    with pytest.raises(TypeError):
-        ONE < 1
+    for op in ORDER_OPS:
+        for x, y in ((INF, ONE), (ONE, INF), (INF, INF)):
+            with pytest.raises(ValueError) as exc:
+                op(x, y)
+            assert str(exc.value) == ("order comparison is undefined for "
+                                      "the infinity slope"), (op, x, y)
+        for x, y in ((ONE, 1), (1, ONE), (INF, 1)):
+            with pytest.raises(TypeError) as exc:
+                op(x, y)
+            assert str(exc.value) == "cannot compare slope with int", (
+                op, x, y)
 
 
 def test_parse_and_format_round_trip():

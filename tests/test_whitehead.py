@@ -28,8 +28,8 @@ from slope_atlas.whitehead import (
     Orderable,
     SurgeryVerdict,
     Ternary,
+    _cell,
     _decide,
-    _facts,
     classify,
     euler_criterion,
     plot_class,
@@ -413,7 +413,7 @@ def test_records_keep_their_containers_as_tuples(wrap):
 
 def _oracle_classify(s1, s2):
     """The verdict rules written per slope pair, as `classify` stated them
-    before it was split into `_facts` and `_decide`."""
+    before it was split into `_cell` and `_decide`."""
     homology = (abs(s1.num), abs(s2.num))
     if s1.num == 0 or s2.num == 0:
         return SurgeryVerdict(
@@ -471,7 +471,8 @@ def _oracle_classify(s1, s2):
 # theirs, as do 1/2 and 5/6).
 FACT_REPRESENTATIVES = [q(0), INF, q(1), q(-3), q(1, 2), q(5, 6), q(3, 2),
                         q(7, 5), q(3, 5)]
-REALIZABLE_FACTS = frozenset(_facts(s) for s in FACT_REPRESENTATIVES)
+REALIZABLE_FACTS = frozenset(_cell(s.num, s.den)
+                             for s in FACT_REPRESENTATIVES)
 SEVEN_CELLS = {"zero", "inf", "positive-integer", "negative-integer",
                "above-one", "euler", "other"}
 
@@ -525,7 +526,7 @@ def test_cells_partition_slopes_exhaustively():
                 continue
             want = literal_cell(num, den)
             s = ExtRational(num, den)
-            assert _facts(s) == want, (num, den)
+            assert _cell(s.num, s.den) == want, (num, den)
             met.add(want)
             if num and den:
                 euler = want in _EULER
@@ -537,7 +538,8 @@ def test_cells_partition_slopes_exhaustively():
 @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
 def test_facts_of_any_slope_are_realizable(num, den):
     assume(num or den)
-    assert _facts(ExtRational(num, den)) in REALIZABLE_FACTS
+    s = ExtRational(num, den)
+    assert _cell(s.num, s.den) in REALIZABLE_FACTS
 
 
 # ---------------------------------------------------------------------------
