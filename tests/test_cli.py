@@ -19,7 +19,7 @@ from math import gcd
 
 import pytest
 
-from slope_atlas import cli
+from slope_atlas import cli, cli_batch
 from slope_atlas.rational import slope_terms
 from slope_atlas.slopes import (INF, MAX_SLOPE_TOKEN, CircularArc,
                                 ExtRational, Region, parse_slope,
@@ -378,14 +378,15 @@ def test_monodromy_builds_the_orientations_once(capsys, monkeypatch, extra):
     # labels, intervals and foliation_region read the boundary templates
     # without building the orientations, so only cmd_monodromy's own call
     # is left.
-    from slope_atlas import monodromy
+    from slope_atlas import cli_regions, monodromy
     original, calls = monodromy.coherent_orientations, []
 
     def counted(m):
         calls.append(m)
         return original(m)
 
-    monkeypatch.setattr(monodromy, "coherent_orientations", counted)
+    for module in (monodromy, cli_regions):
+        monkeypatch.setattr(module, "coherent_orientations", counted)
     assert run_cli("monodromy", "1; 5, 10, -5", *extra) == 0
     assert capsys.readouterr().out
     assert len(calls) == 1
@@ -559,7 +560,7 @@ def test_batch_out_is_atomic(tmp_path, capsys, monkeypatch):
                      "id,s1,s2\na,1,1\nb,2,2\nc,1/2,1/2\n")
     out = tmp_path / "out.csv"
     out.write_bytes(b"old contents\n")
-    decide = cli._decide
+    decide = cli_batch._decide
 
     def failing_decide(f1, f2):
         # The rules run once per new pair of slope cells: rows 1 and 2 share
@@ -569,13 +570,13 @@ def test_batch_out_is_atomic(tmp_path, capsys, monkeypatch):
             raise ValueError("rules disagree")
         return decide(f1, f2)
 
-    monkeypatch.setattr(cli, "_decide", failing_decide)
+    monkeypatch.setattr(cli_batch, "_decide", failing_decide)
     assert run_cli("batch", src, "--out", str(out)) == 2
     assert "rules disagree" in capsys.readouterr().err
     assert out.read_bytes() == b"old contents\n"
     assert sorted(os.listdir(tmp_path)) == ["in.csv", "out.csv"]
 
-    monkeypatch.setattr(cli, "_decide", decide)
+    monkeypatch.setattr(cli_batch, "_decide", decide)
     old_umask = os.umask(0o027)
     try:
         fresh = tmp_path / "fresh.csv"
@@ -847,12 +848,12 @@ def test_token_entry_matches_the_slope_built_from_ints():
         num, _, den = tok.strip().partition("/")
         s = INF if num == "inf" else ExtRational(int(num), int(den or 1))
         assert parse_slope(tok) == s, tok
-        assert cli._token_cell(tok) == (
+        assert cli_batch._token_cell(tok) == (
             str(s), str(abs(s.num)), literal_cell(s.num, s.den)), tok
         if s.den:
             assert str(s) == str(Fraction(s.num, s.den))
     for bad, msg in MALFORMED_SLOPES.items():
-        for read in (cli._token_cell, parse_slope):
+        for read in (cli_batch._token_cell, parse_slope):
             with pytest.raises(ValueError) as err:
                 read(bad)
             assert str(err.value) == msg
@@ -934,13 +935,13 @@ def test_batch_matches_pairwise_classify_on_every_fact_pair(tmp_path, capsys,
     out = tmp_path / "out.csv"
     # The rules run once per fact pair the run meets, and at most 49 exist.
     calls = []
-    decide = cli._decide
+    decide = cli_batch._decide
 
     def counted(f1, f2):
         calls.append((f1, f2))
         return decide(f1, f2)
 
-    monkeypatch.setattr(cli, "_decide", counted)
+    monkeypatch.setattr(cli_batch, "_decide", counted)
     assert run_cli("batch", src, "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
@@ -1029,11 +1030,11 @@ def test_batch_parses_each_distinct_token_once(tmp_path, capsys,
         calls.append(text)
         return slope_terms(text)
 
-    monkeypatch.setattr(cli, "slope_terms", counted)
-    cap = cli._BATCH_TOKENS
+    monkeypatch.setattr(cli_batch, "slope_terms", counted)
+    cap = cli_batch._BATCH_TOKENS
 
     def run(pairs, size=cap):
-        monkeypatch.setattr(cli, "_BATCH_TOKENS", size)
+        monkeypatch.setattr(cli_batch, "_BATCH_TOKENS", size)
         src = _batch_input(tmp_path / "in.csv",
                            [(f"r{i}", a, b, "no")
                             for i, (a, b) in enumerate(pairs)])
@@ -1076,7 +1077,7 @@ def test_batch_token_table_matches_pairwise_classify(tmp_path, capsys):
     # More distinct tokens than the table holds, so it empties; tokens
     # seen before it emptied come back, space-padded or not, beside the
     # odd spellings, malformed fields and ids and labels csv must quote.
-    cap = cli._BATCH_TOKENS
+    cap = cli_batch._BATCH_TOKENS
     rng = random.Random(8)
     fresh = _distinct_tokens(rng, cap + 300)
     early = fresh[:200] + list(FACT_REPRESENTATIVES) + list(ODD_SPELLINGS)
@@ -1141,11 +1142,13 @@ def _loaded_after(runs, then=""):
 
 _REGION_MODULES = ("dataclasses", "slope_atlas.slopes", "slope_atlas.lspace",
                    "slope_atlas.monodromy", "slope_atlas.branched")
+_COMMAND_MODULES = ("slope_atlas.cli_batch", "slope_atlas.cli_regions")
 
 
 def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
     # The verdict commands, run in process after the import, load neither
-    # the region modules nor dataclasses, nor fractions or decimal.
+    # the region modules nor dataclasses, nor fractions or decimal.  batch
+    # loads its own command module and not the region commands' one.
     src = tmp_path / "in.csv"
     src.write_text("id,s1,s2,label\na,1,2,no\nb,-3,5/6,yes\nc,x,1,no\n")
     codes, loaded = _loaded_after(
@@ -1153,20 +1156,24 @@ def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
          ["batch", str(src), "--out", str(tmp_path / "out.csv")],
          ["plot", "--bounds", "-2:2,1:2"]])
     assert codes == ["0", "2", "0"]
-    assert {"slope_atlas.rational", "slope_atlas.whitehead", "csv"} <= loaded
+    assert {"slope_atlas.rational", "slope_atlas.whitehead", "csv",
+            "slope_atlas.cli_batch"} <= loaded
+    assert "slope_atlas.cli_regions" not in loaded
     # The argument parser loads no argparse, and through it no gettext or
     # locale.
     unloaded = _REGION_MODULES + ("fractions", "decimal", "argparse",
                                   "gettext", "locale")
     for name in unloaded:
         assert name not in loaded
-    # Only batch reads CSV, so only batch loads csv.
-    for runs in ([["classify", "--", "-3", "5/6"],
-                  ["plot", "--bounds", "-2:2,1:2"]],
+    # Only batch reads CSV, so only batch loads csv; the import, classify
+    # and plot compile neither command module.
+    for runs in ([], [["classify", "--", "-3", "5/6"],
+                      ["plot", "--bounds", "-2:2,1:2"]],
                  [["plot", "--bounds", "-2:2,1:2", "--format", "svg"]]):
         codes, loaded = _loaded_after(runs)
         assert codes == ["0"] * len(runs)
-        for name in unloaded + ("csv",):
+        assert "slope_atlas.cli_output" in loaded
+        for name in unloaded + _COMMAND_MODULES + ("csv",):
             assert name not in loaded
 
 
@@ -1192,8 +1199,32 @@ def test_region_commands_and_cone_search_leave_dataclasses_unloaded():
              "assert len(branched.carried_weight_cone(c, 2)) == 3\n")
     assert codes == ["0", "0"]
     assert {"slope_atlas.lspace", "slope_atlas.monodromy",
-            "slope_atlas.branched"} <= loaded
+            "slope_atlas.branched", "slope_atlas.cli_regions"} <= loaded
     assert "dataclasses" not in loaded
+    assert "slope_atlas.cli_batch" not in loaded
+
+
+def test_no_command_imports_the_cli_a_second_time(tmp_path):
+    # Under `python -m slope_atlas.cli` the module runs as __main__, so a
+    # command module that imported from `slope_atlas.cli` would compile and
+    # run it a second time, and -X importtime would list it.
+    src = tmp_path / "in.csv"
+    src.write_text("id,s1,s2\na,1,2\n")
+    for argv in (["classify", "--", "-3", "5/6"],
+                 ["monodromy", "1; 5, 10, -5"], ["region", "--json"],
+                 ["batch", str(src), "--out", str(tmp_path / "out.csv")],
+                 ["plot", "--bounds", "-2:2,1:2"],
+                 ["plot", "--bounds", "-2:2,1:2", "--format", "svg"],
+                 ["--help"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "slope_atlas.cli",
+             *argv], capture_output=True, text=True, env=_child_env(),
+            check=True)
+        names = [line.rsplit("|", 1)[-1].strip()
+                 for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")]
+        assert "slope_atlas.whitehead" in names, argv
+        assert "slope_atlas.cli" not in names, argv
 
 
 # ---------------------------------------------------------------------------
@@ -1343,9 +1374,9 @@ def test_plot_output_matches_pairwise_rendering(capsys, bounds, max_den):
 
 
 def test_plot_decides_each_row_once_per_fact(capsys, monkeypatch):
-    # A row of classes depends only on its slope's facts, of which at most
-    # 7 exist, so `plot` needs at most 7 plot_class calls per slope, not
-    # one per pair.
+    # A class depends only on its two slopes' cells, of which at most 7
+    # exist, so `plot` needs at most 49 plot_class calls in all, not one
+    # per pair or one per column of each cell's row.
     calls = 0
 
     def counted(verdict):
@@ -1357,7 +1388,7 @@ def test_plot_decides_each_row_once_per_fact(capsys, monkeypatch):
     assert run_cli("plot", "--bounds=-16:16,1:16") == 0
     n = len(cli.grid_slopes(cli.parse_bounds("-16:16,1:16")))
     assert capsys.readouterr().out.count("\n") == n * n + 1
-    assert 0 < calls <= 7 * n == 2233
+    assert n == 319 and 0 < calls <= 49
 
 
 def test_plot_memory_flat_in_grid_size(tmp_path):

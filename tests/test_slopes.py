@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slope_atlas.rational import slope_terms
 from slope_atlas.slopes import (
     INF,
     MAX_SLOPE_TOKEN,
@@ -100,6 +101,40 @@ def test_parse_and_format_round_trip():
         assert str(parse_slope(text)) == text
     assert parse_slope("3/-1") == q(-3)
     assert parse_slope(" 4/6 ") == q(2, 3)
+
+
+# The slope fields of the installed console script's token check in CI,
+# whose batch output is pinned byte for byte there: 18 readable spellings
+# and 10 refused ones.
+CI_TOKENS = ["3/5", "-3/5", "3/-5", "-3/-5", "0/-7", "-6/-4", "2/-1", "-4/0",
+             "1000001/1000000", "1000000/1000001", "-1000000/2000001",
+             "999999/-1000000", "-0", "007/010", "-007", "  5/6  ", "inf",
+             "98765432109876543210/-4", "0/0", "-0/-0", "+3", "1_0",
+             "1" * 101, "\uff11", "1/0/2", "1.5", "x", ""]
+
+
+def test_parse_slope_is_the_slope_of_the_lowest_terms():
+    # parse_slope builds its slope from the terms slope_terms has already
+    # reduced, without a second check or reduction; the slope must be the
+    # one the checking constructor builds from those terms, and a token
+    # slope_terms refuses must fail with the same message.
+    read = 0
+    for tok in CI_TOKENS:
+        try:
+            terms = slope_terms(tok)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                parse_slope(tok)
+            assert str(err.value) == str(exc)
+            continue
+        s, want = parse_slope(tok), ExtRational(*terms)
+        assert s == want and hash(s) == hash(want) and repr(s) == repr(want)
+        assert (s.num, s.den) == terms and type(s.num) is int, tok
+        read += 1
+    assert read == 18
+    # The constructor itself still refuses a bool component.
+    with pytest.raises(ValueError):
+        ExtRational(True, 1)
 
 
 @pytest.mark.parametrize("bad", ["", "foo", "1/2/3", "1.5", "0/0", "--2",
