@@ -1,13 +1,15 @@
 """Command line interface: the command table, its parser and `main`.
 
 Subcommands: classify, monodromy, region, batch, plot.  Exit codes: 0 on
-success, 2 on malformed input (the diagnostic names the offending token).
+success, 1 when the reader of stdout closes it early, 2 on malformed input
+(the diagnostic names the offending token).
 `batch` lives in `cli_batch`, `monodromy` and `region` in `cli_regions`,
 and each is imported only when its command runs, so a run compiles only
 its own command.  Only batch loads `csv`, and only the commands that
 write JSON load `json`.
 """
 
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -238,6 +240,11 @@ def main(argv=None):
             sys.stdout.write(usage(name))
             return 0
         return globals()["cmd_" + name](args)
+    except BrokenPipeError:
+        # Not bad input.  Stdout now goes to devnull, so the flush at exit
+        # cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

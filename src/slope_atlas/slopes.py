@@ -7,8 +7,6 @@ Python integers; no floating point is used.  The slope class and the input
 grammar are defined in `rational` and re-exported here.
 """
 
-import itertools
-
 from .rational import (INF, MAX_SLOPE_TOKEN, MINUS_ONE, ONE, ZERO, ExtRational,
                        Record, parse_int, parse_slope, shown_token)
 
@@ -61,62 +59,17 @@ class CircularArc(Record):
             return x.is_finite() and s < x < e
         return x.is_infinite() or x > s or x < e
 
-    def complement(self):
-        """The complementary arc, by endpoint and flag swap; a point and
-        every slope but that point are each other's complements."""
-        return CircularArc(self.end, self.start,
-                           not self.end_closed, not self.start_closed)
-
     def __str__(self):
         lb = "[" if self.start_closed else "("
         rb = "]" if self.end_closed else ")"
         return f"{lb}{self.start},{self.end}{rb}"
 
 
-POINT_INF = CircularArc(INF, INF, True, True)
 POSITIVE_ARC = CircularArc(ZERO, INF)     # finite slopes > 0
 NEGATIVE_ARC = CircularArc(INF, ZERO)     # finite slopes < 0
 BELOW_ONE_ARC = CircularArc(INF, ONE)     # finite slopes < 1
 ABOVE_MINUS_ONE_ARC = CircularArc(MINUS_ONE, INF)   # finite slopes > -1
 UNIT_ARC = CircularArc(MINUS_ONE, ONE)    # slopes strictly between -1 and 1
-
-
-def _sample(piece):
-    """A slope inside a piece of the cut circle: the point itself, the
-    midpoint of a finite gap, or one step beyond the finite end of a gap
-    that reaches infinity."""
-    lo, hi, closed = piece
-    if closed:
-        return lo
-    if lo.is_finite() and hi.is_finite():
-        return ExtRational(lo.num * hi.den + hi.num * lo.den,
-                           2 * lo.den * hi.den)
-    if hi.is_finite():
-        return ExtRational(hi.num - hi.den, hi.den)
-    if lo.is_finite():
-        return ExtRational(lo.num + lo.den, lo.den)
-    return ZERO
-
-
-def arc_intersect(a, b):
-    """Intersection of two arcs as a list of pairwise disjoint arcs.
-
-    Infinity and the finite endpoints of both arcs cut the circle into
-    points and open gaps, on each of which both arcs are constant.  The
-    result is every point and gap of that cut that lies in both arcs, each
-    as its own arc, in cut order from infinity.  The list may be empty; no
-    piece is empty, and membership is exact.  The decomposition is not
-    canonical: adjacent pieces are not merged.
-    """
-    cuts = [INF, *sorted({x for arc in (a, b) for x in (arc.start, arc.end)
-                          if x.is_finite()})]
-    arcs = []
-    for lo, hi in zip(cuts, cuts[1:] + cuts[:1]):
-        for end, closed in ((lo, True), (hi, False)):
-            x = _sample((lo, end, closed))
-            if a.contains(x) and b.contains(x):
-                arcs.append(CircularArc(lo, end, closed, closed))
-    return arcs
 
 
 class Region(Record):
@@ -177,26 +130,3 @@ def region_union(a, b):
         raise ValueError("union of regions of different dimension")
     return Region(a.dim, dict.fromkeys(a.boxes + b.boxes),
                   dict.fromkeys(a.lines + b.lines))
-
-
-def _covering_boxes(region):
-    """The region's boxes, each infinity line i expanded into the boxes of
-    infinity at i and a positive or negative finite slope elsewhere."""
-    boxes = list(region.boxes)
-    for i in region.lines:
-        for signs in itertools.product((POSITIVE_ARC, NEGATIVE_ARC),
-                                       repeat=region.dim - 1):
-            boxes.append(signs[:i] + (POINT_INF,) + signs[i:])
-    return boxes
-
-
-def region_intersect(a, b):
-    """Set intersection as a union of boxes: both regions are expanded into
-    covering boxes, which are intersected pairwise."""
-    if a.dim != b.dim:
-        raise ValueError("intersection of regions of different dimension")
-    pairs = itertools.product(_covering_boxes(a), _covering_boxes(b))
-    boxes = dict.fromkeys(
-        box for box_a, box_b in pairs
-        for box in itertools.product(*map(arc_intersect, box_a, box_b)))
-    return Region(a.dim, boxes)

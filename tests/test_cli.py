@@ -22,9 +22,9 @@ import pytest
 from slope_atlas import cli, cli_batch
 from slope_atlas.rational import slope_terms
 from slope_atlas.slopes import (INF, MAX_SLOPE_TOKEN, CircularArc,
-                                ExtRational, Region, parse_slope,
-                                region_intersect)
+                                ExtRational, Region, parse_slope)
 from slope_atlas.whitehead import _cell, classify, plot_class
+from test_slopes import _sample_points
 from test_whitehead import literal_cell
 
 
@@ -176,6 +176,23 @@ def test_console_script_entry_point():
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lspace"] == "yes"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered",
+                                                       "unbuffered"])
+def test_closed_stdout_exits_1_without_a_diagnostic(unbuffered):
+    # As `slope-atlas plot ... | head -n 1`: the reader takes the header and
+    # closes the pipe while the run still has about 1.5 MB to write.  That
+    # is not bad input, so the run exits 1, not 2, and says nothing.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slope_atlas.cli", "plot",
+         "--bounds", "-16:16,1:16"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=_child_env(PYTHONUNBUFFERED=unbuffered))
+    with proc:
+        assert proc.stdout.readline() == b"s1\ts2\tclass\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +438,10 @@ def test_region_labels_the_foliation_side_as_the_whitehead_links(
 
 def test_region_printed_regions_are_disjoint_for_every_framing(capsys):
     # Larger framings only shrink the L-space box, so the printed L-space
-    # region never meets the printed foliation region.
+    # region never meets the printed foliation region.  Every arc endpoint
+    # of both regions, 0 and infinity are cuts of the samples, so both
+    # memberships are constant on each product of two pieces of the cut,
+    # and the sample pairs decide every multislope.
     for b1 in range(6):
         for b2 in range(6):
             assert run_cli("region", "--b1", str(b1), "--b2", str(b2),
@@ -431,8 +451,11 @@ def test_region_printed_regions_are_disjoint_for_every_framing(capsys):
             foliation = _region_from_json(doc["foliation_region"])
             assert lspace.contains((ExtRational(2 * b1 + 1),
                                     ExtRational(2 * b2 + 1)))
-            both = region_intersect(lspace, foliation)
-            assert not both.boxes and not both.lines, (b1, b2)
+            samples = _sample_points([a for r in (lspace, foliation)
+                                      for box in r.boxes for a in box])
+            for m in itertools.product(samples, repeat=2):
+                assert not (lspace.contains(m) and foliation.contains(m)), (
+                    b1, b2, m)
 
 
 def test_region_rejects_negative_framing(capsys):

@@ -19,9 +19,7 @@ from slope_atlas.slopes import (
     CircularArc,
     ExtRational,
     Region,
-    arc_intersect,
     parse_slope,
-    region_intersect,
     region_union,
 )
 
@@ -199,7 +197,6 @@ def test_degenerate_arcs():
     point = CircularArc(ONE, ONE, True, True)
     assert point.contains(ONE)
     assert not point.contains(q(2)) and not point.contains(INF)
-    assert punctured.complement() == point and point.complement() == punctured
     with pytest.raises(ValueError, match="every slope but that one"):
         CircularArc(ONE, ONE, True, False)
 
@@ -233,75 +230,6 @@ def _sample_points(arcs):
     return [INF] + [ExtRational(f.numerator, f.denominator) for f in values]
 
 
-def test_complement_partitions_the_circle():
-    rng = random.Random(11)
-    for _ in range(400):
-        a = _random_arc(rng)
-        b = a.complement()
-        for x in _sample_points([a]):
-            assert a.contains(x) != b.contains(x), (str(a), str(x))
-
-
-def test_complement_involution():
-    rng = random.Random(12)
-    for _ in range(200):
-        a = _random_arc(rng)
-        assert a.complement().complement() == a
-
-
-def test_arc_intersection_membership_exact():
-    rng = random.Random(13)
-    for _ in range(600):
-        a, b = _random_arc(rng), _random_arc(rng)
-        pieces = arc_intersect(a, b)
-        for x in _sample_points([a, b]):
-            want = a.contains(x) and b.contains(x)
-            got = any(p.contains(x) for p in pieces)
-            assert want == got, (str(a), str(b), str(x))
-
-
-def test_arc_intersection_exhaustive_on_small_endpoint_set():
-    # Every arc with endpoints in {inf, -1, 0, 1/2, 1}, degenerate and
-    # closed-flag arcs included, against its complement and every other.
-    # The samples are the endpoints, the midpoints between them and one
-    # step beyond each end, so each piece the arcs cut the circle into is
-    # hit.
-    ends = [INF, q(-1), ZERO, q(1, 2), ONE]
-    arcs = [CircularArc(s, e, sc, ec)
-            for s in ends for e in ends
-            for sc in (False, True) for ec in (False, True)
-            if s != e or sc == ec]
-    assert len(arcs) == 90
-    samples = _sample_points(arcs)
-    assert len(samples) == 10
-    for a in arcs:
-        c = a.complement()
-        assert c.complement() == a, str(a)
-        assert all(a.contains(x) != c.contains(x) for x in samples), str(a)
-        for b in arcs:
-            pieces = arc_intersect(a, b)
-            assert all(any(p.contains(x) for x in samples)
-                       for p in pieces), (str(a), str(b))
-            for x in samples:
-                hits = sum(p.contains(x) for p in pieces)
-                assert hits == (a.contains(x) and b.contains(x)), (
-                    str(a), str(b), str(x), [str(p) for p in pieces])
-
-
-def test_arc_intersection_can_split_in_two():
-    # The intersection (1,5) u (10,inf) u {inf} u (inf,0) is two arcs of
-    # the circle; it comes back as the pieces of the cut that both hold.
-    a = CircularArc(q(1), q(0))    # x > 1, inf, x < 0
-    b = CircularArc(q(10), q(5))   # x > 10, inf, x < 5
-    pieces = arc_intersect(a, b)
-    for x in (q(2), q(11), INF, q(-1)):
-        assert any(p.contains(x) for p in pieces), str(x)
-    for x in (q(7), q(5), q(10), q(1), ZERO):
-        assert not any(p.contains(x) for p in pieces), str(x)
-    for x in _sample_points([a, b]):
-        assert sum(p.contains(x) for p in pieces) <= 1, str(x)
-
-
 def _random_region(rng, dim, max_boxes=2):
     boxes = []
     for _ in range(rng.randint(0, max_boxes)):
@@ -328,23 +256,15 @@ def test_region_union_and_intersection_membership():
         r1 = _random_region(rng, dim)
         r2 = _random_region(rng, dim)
         u = region_union(r1, r2)
-        i = region_intersect(r1, r2)
         for m in _sample_multislopes(rng, (r1, r2), dim):
-            in1, in2 = r1.contains(m), r2.contains(m)
-            assert u.contains(m) == (in1 or in2), (r1, r2, m)
-            assert i.contains(m) == (in1 and in2), (r1, r2, m)
+            want = r1.contains(m) or r2.contains(m)
+            assert u.contains(m) == want, (r1, r2, m)
 
 
 def test_region_union_and_intersection_frozen_examples():
     below_one = Region(2, ((CircularArc(INF, ONE), CircularArc(INF, ONE)),))
     mixed = Region(2, ((CircularArc(ZERO, INF), CircularArc(INF, ZERO)),))
-    closed_box = Region(
-        2,
-        ((CircularArc(ONE, INF, start_closed=True, end_closed=True),
-          CircularArc(ONE, INF, start_closed=True, end_closed=True)),),
-    )
     assert region_union(below_one, mixed).contains((q(1), q(-1, 2)))
-    assert not region_intersect(below_one, closed_box).contains((q(1, 2), q(1, 2)))
     assert region_union(Region(2), mixed).contains((q(3), q(-2)))
     assert not region_union(Region(2), mixed).contains((q(-3), q(2)))
 
@@ -387,7 +307,6 @@ def test_empty_region_behavior():
     assert not e.contains((ZERO, ZERO))
     r = Region(2, (), (0,))
     assert region_union(e, r).contains((INF, ONE))
-    assert not region_intersect(e, r).contains((INF, ONE))
 
 
 def test_infinity_line_semantics():
@@ -396,21 +315,6 @@ def test_infinity_line_semantics():
     assert not r.contains((INF, ZERO))       # other coordinate must be nonzero
     assert not r.contains((INF, INF))        # and finite
     assert not r.contains((q(-5), INF))
-
-
-def test_line_box_intersection_is_exact():
-    # A line meets a box only where the box contains infinity; the leftover
-    # coordinates are trimmed to finite nonzero values.
-    box = (CircularArc(ONE, INF, True, True),
-           CircularArc(q(-2), q(3), True, True))
-    r_box = Region(2, (box,))
-    r_line = Region(2, (), (0,))
-    i = region_intersect(r_box, r_line)
-    assert i.contains((INF, q(1, 2)))
-    assert i.contains((INF, q(-1)))
-    assert not i.contains((INF, ZERO))
-    assert not i.contains((INF, q(4)))
-    assert not i.contains((q(2), q(1, 2)))
 
 
 def test_region_contains_function_alias():

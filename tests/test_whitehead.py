@@ -19,8 +19,7 @@ from slope_atlas.monodromy import (WL_MONODROMY, Monodromy,
                                    OrientationAssignment, TrackTemplate,
                                    coherent_orientations, is_coherent, witness)
 from slope_atlas.slopes import (BELOW_ONE_ARC, INF, ONE, POSITIVE_ARC,
-                                CircularArc, ExtRational, Region, parse_slope,
-                                region_intersect)
+                                CircularArc, ExtRational, Region, parse_slope)
 from slope_atlas.whitehead import (
     _EULER,
     FIBER_PAIRING,
@@ -239,13 +238,6 @@ def test_dichotomy_and_region_agreement_small_grid():
             assert (v.lspace is YES) == lspace_region.contains((s1, s2))
             assert (v.taut_foliation is YES) == foliation_region.contains(
                 (s1, s2))
-
-
-def test_lspace_and_foliation_regions_are_disjoint():
-    # The exact half of the dichotomy: no multislope, infinity included,
-    # lies in both regions.
-    both = region_intersect(wl_lspace_region(), wl_foliation_region())
-    assert not both.boxes and not both.lines
 
 
 def test_foliation_region_is_min_below_one_on_finite_slopes():
