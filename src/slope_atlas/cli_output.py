@@ -12,8 +12,11 @@ def _atomic_out(path, newline=None):
     completes.  A target ``open(path, "w")`` would refuse is refused; a new
     file gets that call's mode and an existing one keeps its mode.  The
     result is a new file: hard links to the old one keep the old contents
-    and its owner is the writer.  No ``path`` means stdout, as it is set."""
+    and its owner is the writer.  No ``path`` means stdout, as it is set;
+    a stdout closed at start raises BrokenPipeError, as a closed pipe does."""
     if not path:
+        if sys.stdout is None:
+            raise BrokenPipeError("stdout is closed")
         yield sys.stdout
         return
     try:

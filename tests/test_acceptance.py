@@ -294,8 +294,8 @@ def test_criterion_9_batch_self_consistency(tmp_path, capsys):
         # The published census comparison needs external hyperbolic
         # identification and stays out of scope; the batch pipeline is
         # validated by a CSV round trip against the classifier.
-        from slope_atlas import cli
-        slopes = cli.grid_slopes((1, 3, -2, 2))
+        from slope_atlas import cli_plot
+        slopes = cli_plot.grid_slopes((1, 3, -2, 2))
         rows = ["id,s1,s2"]
         for idx, (s1, s2) in enumerate(itertools.product(slopes, slopes)):
             rows.append(f"r{idx},{s1},{s2}")

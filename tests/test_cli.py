@@ -19,7 +19,7 @@ from math import gcd
 
 import pytest
 
-from slope_atlas import cli, cli_batch
+from slope_atlas import cli, cli_batch, cli_plot
 from slope_atlas.rational import slope_terms
 from slope_atlas.slopes import (INF, MAX_SLOPE_TOKEN, CircularArc,
                                 ExtRational, Region, parse_slope)
@@ -193,6 +193,31 @@ def test_closed_stdout_exits_1_without_a_diagnostic(unbuffered):
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "1", "1"], ["plot", "--bounds", "1:2,1:2"],
+    ["plot", "--bounds", "1:2,1:2", "--format", "svg"], ["region"],
+    ["monodromy", "1; 1, -1", "--json"], ["--help"]],
+    ids=["classify", "plot-tsv", "plot-svg", "region", "monodromy", "help"])
+def test_stdout_closed_at_start_exits_1_without_a_diagnostic(
+        tmp_path, capsys, argv):
+    # As `slope-atlas classify 1 1 >&-`: the interpreter starts with no
+    # stdout, as if its reader had closed it before the first byte.  So the
+    # run exits 1 and says nothing, and with --out it writes its file.
+    closed = ["sh", "-c", 'exec "$@" >&-', "sh",
+              sys.executable, "-m", "slope_atlas.cli"]
+    proc = subprocess.run(closed + argv, capture_output=True,
+                          env=_child_env())
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    if argv == ["--help"]:
+        return
+    out = tmp_path / "out.txt"
+    proc = subprocess.run(closed + argv + ["--out", str(out)],
+                          capture_output=True, env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert run_cli(*argv) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +832,7 @@ def test_batch_memory_flat_in_distinct_and_padded_tokens(tmp_path):
 
 
 def test_batch_round_trip_consistency(tmp_path, capsys):
-    slopes = cli.grid_slopes((1, 3, -2, 2))
+    slopes = cli_plot.grid_slopes((1, 3, -2, 2))
     rows = ["id,s1,s2"]
     idx = 0
     for s1 in slopes:
@@ -1165,39 +1190,43 @@ def _loaded_after(runs, then=""):
 
 _REGION_MODULES = ("dataclasses", "slope_atlas.slopes", "slope_atlas.lspace",
                    "slope_atlas.monodromy", "slope_atlas.branched")
-_COMMAND_MODULES = ("slope_atlas.cli_batch", "slope_atlas.cli_regions")
+_COMMAND_MODULES = ("slope_atlas.cli_batch", "slope_atlas.cli_regions",
+                    "slope_atlas.cli_plot")
 
 
 def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
     # The verdict commands, run in process after the import, load neither
     # the region modules nor dataclasses, nor fractions or decimal.  batch
-    # loads its own command module and not the region commands' one.
+    # loads its own command module and neither other one.
     src = tmp_path / "in.csv"
     src.write_text("id,s1,s2,label\na,1,2,no\nb,-3,5/6,yes\nc,x,1,no\n")
     codes, loaded = _loaded_after(
         [["classify", "--", "-3", "5/6"],
-         ["batch", str(src), "--out", str(tmp_path / "out.csv")],
-         ["plot", "--bounds", "-2:2,1:2"]])
-    assert codes == ["0", "2", "0"]
+         ["batch", str(src), "--out", str(tmp_path / "out.csv")]])
+    assert codes == ["0", "2"]
     assert {"slope_atlas.rational", "slope_atlas.whitehead", "csv",
             "slope_atlas.cli_batch"} <= loaded
     assert "slope_atlas.cli_regions" not in loaded
+    assert "slope_atlas.cli_plot" not in loaded
     # The argument parser loads no argparse, and through it no gettext or
     # locale.
     unloaded = _REGION_MODULES + ("fractions", "decimal", "argparse",
                                   "gettext", "locale")
     for name in unloaded:
         assert name not in loaded
-    # Only batch reads CSV, so only batch loads csv; the import, classify
-    # and plot compile neither command module.
-    for runs in ([], [["classify", "--", "-3", "5/6"],
-                      ["plot", "--bounds", "-2:2,1:2"]],
-                 [["plot", "--bounds", "-2:2,1:2", "--format", "svg"]]):
+    # Only batch reads CSV, so only batch loads csv; the import and
+    # classify compile no command module, and plot, in either format,
+    # compiles only its own.
+    plot = ["plot", "--bounds", "-2:2,1:2"]
+    own_plot = ("slope_atlas.cli_plot",)
+    for runs, own in (([], ()), ([["classify", "--", "-3", "5/6"]], ()),
+                      ([plot], own_plot),
+                      ([plot + ["--format", "svg"]], own_plot)):
         codes, loaded = _loaded_after(runs)
         assert codes == ["0"] * len(runs)
-        assert "slope_atlas.cli_output" in loaded
+        assert {"slope_atlas.cli_output", *own} <= loaded
         for name in unloaded + _COMMAND_MODULES + ("csv",):
-            assert name not in loaded
+            assert name in own or name not in loaded
 
 
 def test_only_json_output_loads_json(tmp_path):
@@ -1225,6 +1254,7 @@ def test_region_commands_and_cone_search_leave_dataclasses_unloaded():
             "slope_atlas.branched", "slope_atlas.cli_regions"} <= loaded
     assert "dataclasses" not in loaded
     assert "slope_atlas.cli_batch" not in loaded
+    assert "slope_atlas.cli_plot" not in loaded
 
 
 def test_no_command_imports_the_cli_a_second_time(tmp_path):
@@ -1273,10 +1303,11 @@ def test_plot_tsv_includes_infinity(capsys):
 
 
 def test_plot_grid_order_and_max_den():
-    slopes = cli.grid_slopes((1, 3, -2, 2))
+    slopes = cli_plot.grid_slopes((1, 3, -2, 2))
     assert [str(s) for s in slopes] == ["-3", "-2", "-3/2", "-1", "-1/2",
                                         "1/2", "1", "3/2", "2", "3", "inf"]
-    assert [str(s) for s in cli.grid_slopes((1, 3, -2, 2), max_den=1)] == \
+    assert [str(s) for s in cli_plot.grid_slopes((1, 3, -2, 2),
+                                                 max_den=1)] == \
         ["-3", "-2", "-1", "1", "2", "3", "inf"]
 
 
@@ -1298,8 +1329,8 @@ def test_plot_svg_places_lspace_point_in_red(tmp_path):
                    "--out", str(out)) == 0
     text = out.read_text()
     lo, hi = parse_slope("1/2"), parse_slope("2")
-    cx = cli.svg_coord(parse_slope("1"), lo, hi)
-    cy = cli.svg_coord(parse_slope("1"), lo, hi, flip=True)
+    cx = cli_plot.svg_coord(parse_slope("1"), lo, hi)
+    cy = cli_plot.svg_coord(parse_slope("1"), lo, hi, flip=True)
     assert f'<circle cx="{cx}" cy="{cy}" r="3" fill="red"/>' in text
     assert 'fill="blue"' in text
 
@@ -1309,17 +1340,17 @@ def test_plot_svg_places_foliation_point_in_blue(tmp_path):
     assert run_cli("plot", "--bounds", "3:5,-1:6", "--format", "svg",
                    "--out", str(out)) == 0
     text = out.read_text()
-    finite = [s for s in cli.grid_slopes(cli.parse_bounds("3:5,-1:6"), None)
-              if s.is_finite()]
+    finite = [s for s in cli_plot.grid_slopes(
+        cli_plot.parse_bounds("3:5,-1:6"), None) if s.is_finite()]
     lo, hi = min(finite), max(finite)
-    cx = cli.svg_coord(parse_slope("-3"), lo, hi)
-    cy = cli.svg_coord(parse_slope("5/6"), lo, hi, flip=True)
+    cx = cli_plot.svg_coord(parse_slope("-3"), lo, hi)
+    cy = cli_plot.svg_coord(parse_slope("5/6"), lo, hi, flip=True)
     assert f'<circle cx="{cx}" cy="{cy}" r="3" fill="blue"/>' in text
 
 
 def _fraction_coord(value, lo, hi, flip=False):
     """The SVG coordinate string in exact Fraction arithmetic: a reference
-    for `cli.svg_coord`, which works in integers."""
+    for `cli_plot.svg_coord`, which works in integers."""
     frac = Fraction(1, 2) if hi == lo else (value - lo) / (hi - lo)
     return f"{float(40 + (1 - frac if flip else frac) * 560):.2f}"
 
@@ -1341,13 +1372,13 @@ def test_svg_coord_matches_fraction_arithmetic():
         slopes = [ExtRational(x.numerator, x.denominator)
                   for x in (value, lo, hi)]
         for flip in (False, True):
-            assert cli.svg_coord(*slopes, flip=flip) == _fraction_coord(
+            assert cli_plot.svg_coord(*slopes, flip=flip) == _fraction_coord(
                 value, lo, hi, flip)
 
 
 def _plot_pairwise(bounds, max_den, fmt):
     """Reference `plot` output, classified and rendered pair by pair."""
-    slopes = cli.grid_slopes(cli.parse_bounds(bounds), max_den)
+    slopes = cli_plot.grid_slopes(cli_plot.parse_bounds(bounds), max_den)
     records = [(s1, s2, plot_class(classify(s1, s2)))
                for s1 in slopes for s2 in slopes]
     if fmt == "tsv":
@@ -1381,7 +1412,7 @@ def _plot_pairwise(bounds, max_den, fmt):
 ])
 def test_plot_output_matches_pairwise_rendering(capsys, bounds, max_den):
     den_args = [] if max_den is None else ["--max-den", str(max_den)]
-    slopes = cli.grid_slopes(cli.parse_bounds(bounds), max_den)
+    slopes = cli_plot.grid_slopes(cli_plot.parse_bounds(bounds), max_den)
     if bounds == "-3:3,0:2":
         assert len(slopes) == 12 and len(
             {_cell(s.num, s.den) for s in slopes}) == 7
@@ -1407,9 +1438,9 @@ def test_plot_decides_each_row_once_per_fact(capsys, monkeypatch):
         calls += 1
         return plot_class(verdict)
 
-    monkeypatch.setattr(cli, "plot_class", counted)
+    monkeypatch.setattr(cli_plot, "plot_class", counted)
     assert run_cli("plot", "--bounds=-16:16,1:16") == 0
-    n = len(cli.grid_slopes(cli.parse_bounds("-16:16,1:16")))
+    n = len(cli_plot.grid_slopes(cli_plot.parse_bounds("-16:16,1:16")))
     assert capsys.readouterr().out.count("\n") == n * n + 1
     assert n == 319 and 0 < calls <= 49
 
@@ -1434,7 +1465,7 @@ def test_plot_out_stays_atomic_while_streaming(tmp_path, capsys,
                                                monkeypatch):
     out = tmp_path / "plot.svg"
     out.write_bytes(b"old contents\n")
-    coord, xs = cli.svg_coord, []
+    coord, xs = cli_plot.svg_coord, []
 
     def failing_coord(value, lo, hi, flip=False):
         # The x coordinates are formed as the circles are written, so the
@@ -1445,7 +1476,7 @@ def test_plot_out_stays_atomic_while_streaming(tmp_path, capsys,
                 raise ValueError("renderer fault")
         return coord(value, lo, hi, flip)
 
-    monkeypatch.setattr(cli, "svg_coord", failing_coord)
+    monkeypatch.setattr(cli_plot, "svg_coord", failing_coord)
     assert run_cli("plot", "--bounds=-3:3,1:3", "--format", "svg",
                    "--out", str(out)) == 2
     assert capsys.readouterr().err == "error: renderer fault\n"
@@ -1489,7 +1520,7 @@ def test_plot_rejects_bad_bounds(capsys):
     assert run_cli("plot", "--bounds", "1:" + "9" * 5000 + ",1:2") == 2
     assert len(capsys.readouterr().err) < 2 * MAX_SLOPE_TOKEN
     # Every point of a 0:0 grid is the slope 0, so only the cap can fail.
-    top = cli.MAX_GRID_POINTS
+    top = cli_plot.MAX_GRID_POINTS
     assert run_cli("plot", f"--bounds=0:0,1:{top}") == 0
     capsys.readouterr()
     assert run_cli("plot", f"--bounds=0:0,0:{top}") == 2
@@ -1505,6 +1536,6 @@ def test_plot_accepts_bare_negative_bounds(capsys):
 
 
 def test_bounds_parser():
-    assert cli.parse_bounds("-3:3,-2:2") == (-3, 3, -2, 2)
+    assert cli_plot.parse_bounds("-3:3,-2:2") == (-3, 3, -2, 2)
     with pytest.raises(ValueError):
-        cli.parse_bounds("a:b,c:d")
+        cli_plot.parse_bounds("a:b,c:d")
