@@ -1,10 +1,11 @@
 """The `batch` command: classify a CSV of slope pairs row by row."""
 
 import csv
+import functools
 import re
 import sys
 
-from .cli_output import _atomic_out
+from .cli_output import _atomic_out, _emit
 from .rational import format_terms, shown_token, slope_terms
 from .whitehead import _cell, _decide, plot_class
 
@@ -50,9 +51,10 @@ def cmd_batch(args):
     """Classify the input CSV row by row in one pass; memory stays flat."""
     header = "id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable"
     agree = failures = 0
-    # Stripped slope token -> its _token_cell; cleared when full.
-    seen = {}
-    get, put = seen.get, seen.setdefault
+    # Stripped slope token -> its _token_cell; when full, the least
+    # recently used token is dropped.  A malformed token raises, so it is
+    # never kept.
+    cell = functools.lru_cache(_BATCH_TOKENS)(_token_cell)
     # (cell, cell) -> _pair_entry; only 49 cell pairs exist, so it is
     # never cleared.
     pairs = {}
@@ -74,15 +76,11 @@ def cmd_batch(args):
                     lineno, end = end + 1, rows.line_num
                     if not row:
                         continue
-                    if len(seen) >= _BATCH_TOKENS:
-                        seen.clear()
                     try:
                         if len(row) != width:
                             raise ValueError(
                                 f"expected {width} fields, got {len(row)}")
-                        t1, t2 = row[1].strip(), row[2].strip()
-                        c1 = get(t1) or put(t1, _token_cell(row[1]))
-                        c2 = get(t2) or put(t2, _token_cell(row[2]))
+                        c1, c2 = cell(row[1].strip()), cell(row[2].strip())
                     except ValueError as exc:
                         failures += 1
                         print(f"{args.input}:{lineno}: {exc}",
@@ -116,11 +114,12 @@ def cmd_batch(args):
         done += n
         tally[cls] += n
         tally["left-orderable " + lo] += n
-    print(f"rows: {done}")
-    for key, n in tally.items():
-        print(f"{key}: {n}")
+    lines = [f"rows: {done}", *(f"{key}: {n}" for key, n in tally.items())]
     if has_label:
-        print(f"label agreement: {agree}/{done}")
+        lines.append(f"label agreement: {agree}/{done}")
+    # Not print, which writes nothing to a stdout closed at start: the run
+    # exits 1 there, as every other command does.
+    _emit("\n".join(lines) + "\n", None)
     if failures:
         print(f"failed rows: {failures}", file=sys.stderr)
         return 2

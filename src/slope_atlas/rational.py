@@ -172,8 +172,8 @@ def parse_int(text, what):
 def slope_terms(text):
     """Read 'p', 'p/q' or 'inf' into the slope's lowest terms (num, den).
 
-    Raises ValueError naming the offending token, cut to MAX_SLOPE_TOKEN
-    characters, on anything else.
+    Raises ValueError naming the offending token, stripped and cut to
+    MAX_SLOPE_TOKEN characters, on anything else.
     """
     tok = text.strip()
     m = len(tok) <= MAX_SLOPE_TOKEN and _match_slope(tok)
@@ -186,7 +186,7 @@ def slope_terms(text):
             return lowest_terms(int(num), int(den or 1))
         except ValueError as exc:   # 0/0
             why = f" ({exc})"
-    raise ValueError(f"invalid slope token {shown_token(text)!r}{why}")
+    raise ValueError(f"invalid slope token {shown_token(tok)!r}{why}")
 
 
 def parse_slope(text):

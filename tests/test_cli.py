@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from fractions import Fraction
 from math import gcd
 
@@ -198,24 +199,38 @@ def test_closed_stdout_exits_1_without_a_diagnostic(unbuffered):
 @pytest.mark.parametrize("argv", [
     ["classify", "1", "1"], ["plot", "--bounds", "1:2,1:2"],
     ["plot", "--bounds", "1:2,1:2", "--format", "svg"], ["region"],
-    ["monodromy", "1; 1, -1", "--json"], ["--help"]],
-    ids=["classify", "plot-tsv", "plot-svg", "region", "monodromy", "help"])
+    ["monodromy", "1; 1, -1", "--json"], ["batch"], ["--help"]],
+    ids=["classify", "plot-tsv", "plot-svg", "region", "monodromy", "batch",
+         "help"])
 def test_stdout_closed_at_start_exits_1_without_a_diagnostic(
         tmp_path, capsys, argv):
     # As `slope-atlas classify 1 1 >&-`: the interpreter starts with no
     # stdout, as if its reader had closed it before the first byte.  So the
     # run exits 1 and says nothing, and with --out it writes its file.
+    # batch needs --out and writes its summary to stdout, so it writes its
+    # whole file and still exits 1.
     closed = ["sh", "-c", 'exec "$@" >&-', "sh",
               sys.executable, "-m", "slope_atlas.cli"]
-    proc = subprocess.run(closed + argv, capture_output=True,
-                          env=_child_env())
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    batch = argv == ["batch"]
+    if batch:
+        argv = ["batch", _write_csv(tmp_path / "in.csv",
+                                    "id,s1,s2\nr0,1/2,3\nr1,inf,-2\n")]
+    else:
+        proc = subprocess.run(closed + argv, capture_output=True,
+                              env=_child_env())
+        assert (proc.returncode, proc.stderr) == (1, b"")
     if argv == ["--help"]:
         return
     out = tmp_path / "out.txt"
     proc = subprocess.run(closed + argv + ["--out", str(out)],
                           capture_output=True, env=_child_env())
-    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (proc.returncode, proc.stderr) == (1 if batch else 0, b"")
+    if batch:
+        want = tmp_path / "want.csv"
+        assert run_cli(*argv, "--out", str(want)) == 0
+        assert capsys.readouterr().out.startswith("rows: 2\n")
+        assert out.read_text() == want.read_text()
+        return
     assert run_cli(*argv) == 0
     assert out.read_text() == capsys.readouterr().out
 
@@ -805,9 +820,9 @@ def test_batch_memory_flat_in_row_count(tmp_path):
 
 
 def test_batch_memory_flat_in_distinct_and_padded_tokens(tmp_path):
-    # Every token below is new.  The token table is keyed on the stripped
-    # token and emptied when full, so neither 8 KiB of padding per row nor
-    # 80,000 distinct tokens make peak RSS grow.
+    # Every token below is new.  The token cache is keyed on the stripped
+    # token and holds at most 4,096 entries, so neither 8 KiB of padding
+    # per row nor 80,000 distinct tokens make peak RSS grow.
     pad = " " * 4096
 
     def write(name, n, padded):
@@ -874,6 +889,10 @@ MALFORMED_SLOPES = {
     "1.5": "invalid slope token '1.5'",
     "x": "invalid slope token 'x'",
     "": "invalid slope token ''",
+    # A padded token is named without its padding.
+    " 1.5 ": "invalid slope token '1.5'",
+    " 0/0 ": "invalid slope token '0/0' (0/0 is not a slope)",
+    "\t+3  ": "invalid slope token '+3'",
 }
 
 
@@ -1039,23 +1058,25 @@ def _distinct_tokens(rng, n):
 
 def _expected_parse_calls(pairs, cap):
     """`slope_terms` calls a batch run makes on rows of (s1, s2) fields
-    with a token table of ``cap`` entries: one per stripped token that is
-    not in the table, which a valid token then joins (a field after a
-    malformed one is not read); the table is emptied before a row that
-    finds it full."""
-    table, calls = set(), 0
+    with a least-recently-used token cache of ``cap`` entries: one per
+    stripped token that is not in the cache, which a valid token then joins
+    (a field after a malformed one is not read).  A hit makes a token the
+    most recently used, and a token that joins a full cache drops the least
+    recently used one."""
+    cache, calls = OrderedDict(), 0
     for t1, t2 in pairs:
-        if len(table) >= cap:
-            table.clear()
-        for tok in (t1, t2):
-            if tok.strip() in table:
+        for tok in (t1.strip(), t2.strip()):
+            if tok in cache:
+                cache.move_to_end(tok)
                 continue
             calls += 1
             try:
                 slope_terms(tok)
             except ValueError:
                 break
-            table.add(tok.strip())
+            cache[tok] = None
+            if len(cache) > cap:
+                cache.popitem(last=False)
     return calls
 
 
@@ -1101,13 +1122,16 @@ def test_batch_parses_each_distinct_token_once(tmp_path, capsys,
     assert run(pairs) == 6 + 3 == _expected_parse_calls(pairs, cap)
     assert run([("7", "7"), ("7", " 7 ")]) == 1
 
-    # With room for four tokens, the fifth row finds the table full, so it
-    # is emptied and 1 is parsed a second time there.
+    # With room for four tokens, the 5 of the fifth row drops 2, the least
+    # recently used, while 1, used in every row, is read once; 2 is read
+    # again in the last row and drops 3.  Emptying the cache when full
+    # would read 1 and 4 again too: eight calls.
     pairs = [("1", "2"), ("2", "1"), ("3", "3"), ("1", "4"), ("5", "1"),
-             ("1", "5")]
-    assert run(pairs, size=4) == 2 + 0 + 1 + 1 + 2 + 0
+             ("1", "5"), ("2", "4")]
+    assert run(pairs, size=4) == 2 + 0 + 1 + 1 + 1 + 0 + 1
+    assert _expected_parse_calls(pairs, 4) == 6
 
-    # At the real size, on random tokens revisited after the table empties:
+    # At the real size, on random tokens revisited after they are dropped:
     # half the fields come from 300 frequent tokens, the rest from all.
     rng = random.Random(21)
     tokens = _distinct_tokens(rng, cap + 600) + ["x", " 1/0/2 ", ""]
@@ -1122,9 +1146,10 @@ def test_batch_parses_each_distinct_token_once(tmp_path, capsys,
 
 
 def test_batch_token_table_matches_pairwise_classify(tmp_path, capsys):
-    # More distinct tokens than the table holds, so it empties; tokens
-    # seen before it emptied come back, space-padded or not, beside the
-    # odd spellings, malformed fields and ids and labels csv must quote.
+    # More distinct tokens than the cache holds, so it drops the least
+    # recently used; early tokens and dropped ones come back, space-padded
+    # or not, beside the odd spellings, malformed fields and ids and
+    # labels csv must quote.
     cap = cli_batch._BATCH_TOKENS
     rng = random.Random(8)
     fresh = _distinct_tokens(rng, cap + 300)
@@ -1133,7 +1158,7 @@ def test_batch_token_table_matches_pairwise_classify(tmp_path, capsys):
     idents = ["a,b", 'q"uote', "line\nbreak", "cr\rx", "  padded  "]
     labels = ["yes", "no", "unknown", "na", "y,es", ' "no" ']
     rows = []
-    for i, tok in enumerate(early + fresh + early):
+    for i, tok in enumerate(early + fresh + early + fresh[200:300]):
         other = rng.choice(early)
         pad = " " * rng.randrange(3)
         if i % 97 == 0:
