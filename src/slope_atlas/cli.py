@@ -5,8 +5,9 @@ success, 1 when the reader of stdout closes it early or it was closed at
 start, 2 on malformed input (the diagnostic names the offending token).
 `batch` lives in `cli_batch`, `monodromy` and `region` in `cli_regions`,
 `plot` in `cli_plot`, and each is imported only when its command runs, so
-a run compiles only its own command.  Only batch loads `csv`, and only the
-commands that write JSON load `json`.
+a run compiles only its own command: the import, `--help` and a usage
+error load neither `rational` nor `whitehead`.  Only batch loads `csv`, and
+only the commands that write JSON load `json`.
 """
 
 import os
@@ -14,11 +15,11 @@ import sys
 from types import SimpleNamespace
 
 from .cli_output import _emit, _emit_json
-from .rational import parse_slope, shown_token
-from .whitehead import classify
 
 
 def cmd_classify(args):
+    from .rational import parse_slope
+    from .whitehead import classify
     s1 = parse_slope(args.s1)
     s2 = parse_slope(args.s2)
     verdict = classify(s1, s2)
@@ -50,7 +51,7 @@ REQUIRED = object()
 # Each command's one-line help, its positionals and its options with their
 # defaults; a default of False marks a flag and REQUIRED an option that must
 # be given.  `main` looks `cmd_<name>` up when it runs, so a rebound
-# function is the one called.
+# function is the one called; each imports its modules only then.
 COMMANDS = {
     "classify": ("classify one surgery multislope; a slope is p, p/q or inf",
                  ("s1", "s2"), {"out": None}),
@@ -92,6 +93,7 @@ def parse_args(argv):
     if name in ("-h", "--help"):
         return None, None
     if name not in COMMANDS:
+        from .rational import shown_token
         raise ValueError(("missing command" if name is None else
                           f"unknown command {shown_token(name)!r}")
                          + ": expected one of " + ", ".join(COMMANDS))
@@ -105,6 +107,7 @@ def parse_args(argv):
         elif tok.startswith("--"):
             opt, eq, value = tok[2:].partition("=")
             if opt not in options:
+                from .rational import shown_token
                 raise ValueError(f"{name}: unknown option "
                                  f"{shown_token(tok)!r}")
             if options[opt] is False:

@@ -118,9 +118,10 @@ def cmd_batch(args):
     if has_label:
         lines.append(f"label agreement: {agree}/{done}")
     # Not print, which writes nothing to a stdout closed at start: the run
-    # exits 1 there, as every other command does.
-    _emit("\n".join(lines) + "\n", None)
-    if failures:
-        print(f"failed rows: {failures}", file=sys.stderr)
-        return 2
-    return 0
+    # exits 1 there, as every other command does, and still counts failures.
+    try:
+        _emit("\n".join(lines) + "\n", None)
+    finally:
+        if failures:
+            print(f"failed rows: {failures}", file=sys.stderr)
+    return 2 if failures else 0

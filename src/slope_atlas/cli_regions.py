@@ -1,11 +1,10 @@
-"""The `monodromy` and `region` commands, which load the region modules."""
+"""The `monodromy` and `region` commands, which load the region modules;
+only `region` loads `lspace` and `whitehead`, when it runs."""
 
 from .cli_output import _emit, _emit_json
-from .lspace import two_component_region
 from .monodromy import (coherent_orientations, foliation_region, intervals,
                         labels, parse_monodromy)
 from .rational import parse_int
-from .whitehead import wl_foliation_region
 
 
 def _arc_json(a):
@@ -62,6 +61,8 @@ def cmd_monodromy(args):
 
 
 def cmd_region(args):
+    from .lspace import two_component_region
+    from .whitehead import wl_foliation_region
     b1 = parse_int(args.b1, "--b1 value")
     b2 = parse_int(args.b2, "--b2 value")
     if b1 < 0 or b2 < 0:

@@ -99,7 +99,8 @@ def test_usage_errors_exit_two(capsys):
         assert captured.err.startswith("error: "), argv
         assert captured.err.count("\n") == 1, argv
         assert captured.err.endswith("\n"), argv
-    # A long command, option name or --format value is echoed cut.
+    # A long command, option name or --format value is echoed cut to its
+    # first MAX_SLOPE_TOKEN characters.
     long = "x" * 5000
     for argv in ([long], ["--" + long], ["plot", "--" + long],
                  ["plot", "--" + long + "=1"],
@@ -107,8 +108,9 @@ def test_usage_errors_exit_two(capsys):
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
-        assert "x" * (MAX_SLOPE_TOKEN - 2) in captured.err
+        assert repr(argv[-1][:MAX_SLOPE_TOKEN] + "...") in captured.err
         assert len(captured.err) < 2 * MAX_SLOPE_TOKEN
+    assert MAX_SLOPE_TOKEN == 100
 
 
 def test_argument_grammar_accepted_forms(capsys, tmp_path):
@@ -233,6 +235,24 @@ def test_stdout_closed_at_start_exits_1_without_a_diagnostic(
         return
     assert run_cli(*argv) == 0
     assert out.read_text() == capsys.readouterr().out
+
+
+def test_batch_counts_failed_rows_with_stdout_closed_at_start(tmp_path):
+    # As `slope-atlas batch bad.csv --out o.csv >&-`: the summary cannot be
+    # written, so the run exits 1, but the failure count still reaches
+    # stderr after the row's diagnostic and the out file is complete.
+    src = _write_csv(tmp_path / "in.csv", "id,s1,s2\nr0,1/2,3\nr1,x,-2\n")
+    out = tmp_path / "out.csv"
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+         "slope_atlas.cli", "batch", src, "--out", str(out)],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"{src}:3: invalid slope token 'x'", "failed rows: 1"]
+    assert out.read_text() == (
+        "id,s1,s2,qhs,h1,h2,lspace,foliation,euler_zero,left_orderable\n"
+        "r0,1/2,3,true,1,3,no,yes,yes,yes\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1239,18 +1259,21 @@ def test_cli_import_leaves_cone_modules_unloaded(tmp_path):
                                   "gettext", "locale")
     for name in unloaded:
         assert name not in loaded
-    # Only batch reads CSV, so only batch loads csv; the import and
-    # classify compile no command module, and plot, in either format,
-    # compiles only its own.
+    # Only batch reads CSV, so only batch loads csv; the import, --help
+    # and classify compile no command module, and plot, in either format,
+    # compiles only its own.  The import and --help load neither the slope
+    # reader nor the verdict rules; classify and plot load both.
     plot = ["plot", "--bounds", "-2:2,1:2"]
-    own_plot = ("slope_atlas.cli_plot",)
-    for runs, own in (([], ()), ([["classify", "--", "-3", "5/6"]], ()),
+    verdict = ("slope_atlas.rational", "slope_atlas.whitehead")
+    own_plot = ("slope_atlas.cli_plot", *verdict)
+    for runs, own in (([], ()), ([["--help"]], ()),
+                      ([["classify", "--", "-3", "5/6"]], verdict),
                       ([plot], own_plot),
                       ([plot + ["--format", "svg"]], own_plot)):
         codes, loaded = _loaded_after(runs)
         assert codes == ["0"] * len(runs)
         assert {"slope_atlas.cli_output", *own} <= loaded
-        for name in unloaded + _COMMAND_MODULES + ("csv",):
+        for name in unloaded + _COMMAND_MODULES + verdict + ("csv",):
             assert name in own or name not in loaded
 
 
@@ -1282,6 +1305,17 @@ def test_region_commands_and_cone_search_leave_dataclasses_unloaded():
     assert "slope_atlas.cli_plot" not in loaded
 
 
+def test_monodromy_leaves_lspace_and_whitehead_unloaded():
+    # Only region needs the L-space region and the Whitehead link's
+    # foliation region, so monodromy, in either format, compiles neither.
+    codes, loaded = _loaded_after([["monodromy", "1; 5, 10, -5"],
+                                   ["monodromy", "1; 1, -1", "--json"]])
+    assert codes == ["0", "0"]
+    assert {"slope_atlas.monodromy", "slope_atlas.cli_regions"} <= loaded
+    assert "slope_atlas.lspace" not in loaded
+    assert "slope_atlas.whitehead" not in loaded
+
+
 def test_no_command_imports_the_cli_a_second_time(tmp_path):
     # Under `python -m slope_atlas.cli` the module runs as __main__, so a
     # command module that imported from `slope_atlas.cli` would compile and
@@ -1301,7 +1335,8 @@ def test_no_command_imports_the_cli_a_second_time(tmp_path):
         names = [line.rsplit("|", 1)[-1].strip()
                  for line in proc.stderr.splitlines()
                  if line.startswith("import time:")]
-        assert "slope_atlas.whitehead" in names, argv
+        # Every run loads cli_output, so -X importtime listed the package.
+        assert "slope_atlas.cli_output" in names, argv
         assert "slope_atlas.cli" not in names, argv
 
 
