@@ -84,6 +84,11 @@ def usage(name=None):
     return "\n".join(lines) + "\n"
 
 
+def _shown(tok):
+    from .rational import shown_token
+    return repr(shown_token(tok))
+
+
 def parse_args(argv):
     """(command name, namespace of its arguments) of ``argv``, with a None
     namespace when it asks for help.  Option names are exact, ``--`` ends
@@ -93,9 +98,8 @@ def parse_args(argv):
     if name in ("-h", "--help"):
         return None, None
     if name not in COMMANDS:
-        from .rational import shown_token
         raise ValueError(("missing command" if name is None else
-                          f"unknown command {shown_token(name)!r}")
+                          f"unknown command {_shown(name)}")
                          + ": expected one of " + ", ".join(COMMANDS))
     _, names, options = COMMANDS[name]
     values, given, tokens = dict(options), [], iter(argv[1:])
@@ -107,9 +111,7 @@ def parse_args(argv):
         elif tok.startswith("--"):
             opt, eq, value = tok[2:].partition("=")
             if opt not in options:
-                from .rational import shown_token
-                raise ValueError(f"{name}: unknown option "
-                                 f"{shown_token(tok)!r}")
+                raise ValueError(f"{name}: unknown option {_shown(tok)}")
             if options[opt] is False:
                 if eq:
                     raise ValueError(f"{name}: --{opt} takes no value")
