@@ -17,7 +17,10 @@ Two constructions are provided for a monodromy (a_0; a_1..a_k):
   same k vertical sectors plus N = sum |a_i| sectors in the fiber, in a
   single cyclic chain ordered by the common cusp direction.
 
-Both have no sink discs and carry exactly the fundamental-class ray.
+Both have no sink discs.  That both carry exactly the fundamental-class ray
+is checked, not proved: at bound 3 on every word with k <= 3 and each
+|a_i| <= 2 (acceptance criterion 6), and at bound 100 on two words.  ROADMAP
+item 5 outlines a proof for every word and bound.
 """
 
 import enum
@@ -219,18 +222,12 @@ def _coherent_arc_complex(m, o, sources=None):
 
 
 def detect_sink_discs(c):
-    """Ids of sink discs and half sink discs, in sector order.
-
-    A sink disc is a disc sector away from the boundary that is never a
-    small side of an incident arc (every cusp points into it); a half sink
-    disc is a boundary sector with the same property.  Sectors with no
-    incident arcs are not sinks; see ``isolated_sectors``.
-    """
-    skip = set(isolated_sectors(c))
-    for a in c.arcs:
-        skip.update((a.small_a, a.small_b))
-    return tuple(s.id for s in c.sectors if s.id not in skip
-                 and (s.meets_boundary or s.kind is SectorKind.DISC))
+    """Ids of sink discs (away from the boundary) and half sink discs (on
+    it), in sector order: the sectors that are some arc's big side and no
+    arc's small side, so every cusp points into them."""
+    big = {a.big for a in c.arcs}
+    small = {sid for a in c.arcs for sid in (a.small_a, a.small_b)}
+    return tuple(s.id for s in c.sectors if s.id in big and s.id not in small)
 
 
 def isolated_sectors(c):

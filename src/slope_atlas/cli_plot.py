@@ -4,8 +4,8 @@ as TSV rows or SVG points."""
 import re
 
 from .cli_output import _atomic_out
-from .rational import (INF, INT_RE, _slope_of_terms, lowest_terms,
-                       parse_int, shown_token)
+from .rational import (INF, INT_RE, ExtRational, lowest_terms, parse_int,
+                       shown_token)
 from .whitehead import _cell, _decide, plot_class
 
 
@@ -38,7 +38,7 @@ def grid_slopes(bounds, max_den=None):
              for q in range(qmin, qmax + 1) if p or q}
     if max_den is not None:
         terms = {t for t in terms if t[1] <= max_den}
-    slopes = sorted(_slope_of_terms(p, q) for p, q in terms if q)
+    slopes = sorted(ExtRational(p, q) for p, q in terms if q)
     if (1, 0) in terms:
         slopes.append(INF)
     return slopes

@@ -128,15 +128,6 @@ _set_num = ExtRational.num.__set__
 _set_den = ExtRational.den.__set__
 
 
-def _slope_of_terms(num, den):
-    """The slope whose lowest terms are (num, den), built without checking
-    or reducing them again."""
-    s = object.__new__(ExtRational)
-    _set_num(s, num)
-    _set_den(s, den)
-    return s
-
-
 INF = ExtRational(1, 0)
 ZERO = ExtRational(0)
 ONE = ExtRational(1)
@@ -191,4 +182,4 @@ def slope_terms(text):
 
 def parse_slope(text):
     """The slope of the token ``text``, read by `slope_terms`."""
-    return _slope_of_terms(*slope_terms(text))
+    return ExtRational(*slope_terms(text))

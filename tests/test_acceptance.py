@@ -15,8 +15,6 @@ from math import gcd
 from conftest import record
 
 from slope_atlas.branched import (
-    BranchArc,
-    BranchComplex,
     carried_weight_cone,
     complexes_for,
     detect_sink_discs,
@@ -47,7 +45,9 @@ from slope_atlas.whitehead import (
     wl_foliation_region,
 )
 
+from test_branched import flip_arc, sink_oracle
 from test_cli import run_cli
+from test_lspace import d_positive_oracle
 
 
 def q(num, den=1):
@@ -178,31 +178,6 @@ def test_criterion_5_orientation_property_suite():
              "properties on 1000 random monodromies", check)
 
 
-def _sink_oracle(c):
-    out = []
-    for s in c.sectors:
-        incident = [a for a in c.arcs
-                    if s.id in (a.big, a.small_a, a.small_b)]
-        if not incident:
-            continue
-        if all(a.big == s.id and s.id not in (a.small_a, a.small_b)
-               for a in incident):
-            out.append(s.id)
-    return tuple(out)
-
-
-def _flip_arc(c, arc_id, promote):
-    new_arcs = []
-    for a in c.arcs:
-        if a.id != arc_id:
-            new_arcs.append(a)
-        elif a.small_a == promote:
-            new_arcs.append(BranchArc(a.id, promote, a.big, a.small_b))
-        else:
-            new_arcs.append(BranchArc(a.id, promote, a.small_a, a.big))
-    return BranchComplex(c.sectors, tuple(new_arcs))
-
-
 def test_criterion_6_branched_surface_oracle():
     def check():
         start = time.perf_counter()
@@ -213,7 +188,7 @@ def test_criterion_6_branched_surface_oracle():
                     m = Monodromy(a0, twists)
                     for c in complexes_for(m).values():
                         assert detect_sink_discs(c) == ()
-                        assert _sink_oracle(c) == ()
+                        assert sink_oracle(c) == ()
                         assert (carried_weight_cone(c, 3)
                                 == fundamental_ray(c, 3))
                         # flip one arc so a disc swallows every cusp; both
@@ -225,10 +200,10 @@ def test_criterion_6_branched_surface_oracle():
                             if any(target in (o.small_a, o.small_b)
                                    for o in c.arcs if o.id != arc.id):
                                 continue
-                            bad = _flip_arc(c, arc.id, target)
+                            bad = flip_arc(c, arc.id, target)
                             got = detect_sink_discs(bad)
                             assert target in got
-                            assert got == _sink_oracle(bad)
+                            assert got == sink_oracle(bad)
                             mutations += 1
                             break
         elapsed = time.perf_counter() - start
@@ -237,19 +212,6 @@ def test_criterion_6_branched_surface_oracle():
 
     _checked("criterion 6: weight cones equal the fundamental ray and sink "
              "scans match a brute-force oracle, under 30s", check)
-
-
-def _d_positive_oracle(profile):
-    p, c = profile.torsion_order, profile.threshold
-    grid = [(n, t) for n in range(c + 1) for t in range(p)]
-    levels = set()
-    for nx, tx in grid:
-        if profile.in_support(nx, tx):
-            continue
-        for ny, ty in grid:
-            if profile.in_support(ny, ty) and tx == ty and nx > ny:
-                levels.add(nx - ny)
-    return tuple(sorted(levels))
 
 
 def test_criterion_7_difference_set_oracle():
@@ -269,7 +231,7 @@ def test_criterion_7_difference_set_oracle():
                     if rng.random() < 0.5:
                         support.add((n, t))
             profile = TorsionProfile(p, c, frozenset(support))
-            assert compute_d_positive(profile) == _d_positive_oracle(profile)
+            assert compute_d_positive(profile) == d_positive_oracle(profile)
 
     _checked("criterion 7: difference sets match the pair-enumeration "
              "oracle on 200 random profiles", check)

@@ -692,6 +692,9 @@ def test_json_round_trip():
     for m in (Monodromy(1, (1, -1)), Monodromy(2, (1, 1, 1))):
         for c in complexes_for(m).values():
             assert BranchComplex.from_json(c.to_json()) == c
+            kinds = [s["kind"] for s in json.loads(c.to_json())["sectors"]]
+            assert kinds == [str(s.kind) for s in c.sectors]
+    assert [str(kind) for kind in SectorKind] == ["disc", "half_disc"]
 
 
 _DROP = object()   # as a replacement value: delete the entry instead

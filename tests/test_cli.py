@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -38,6 +39,26 @@ def _child_env(**env):
     and the package importable."""
     return dict(os.environ, **env,
                 PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+
+def _readme_runs():
+    """(argv, output) of each README code block that starts with a
+    ``$ slope-atlas`` line: that command's arguments, then what it prints."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    runs = (block.lstrip("\n").partition("\n") for block in blocks)
+    return [(shlex.split(command)[2:], shown) for command, _, shown in runs
+            if command.startswith("$ slope-atlas ")]
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    runs = _readme_runs()
+    assert [argv[0] for argv, _ in runs] == ["classify", "monodromy"]
+    for argv, shown in runs:
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == shown
 
 
 # ---------------------------------------------------------------------------

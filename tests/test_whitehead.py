@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from slope_atlas.branched import (BranchArc, BranchComplex, Sector, SectorKind,
                                   WeightSystem, carried_weight_cone)
-from slope_atlas.lspace import TorsionProfile
+from slope_atlas.lspace import (TorsionProfile, compute_d_positive,
+                                interval_candidates, select_interval)
 from slope_atlas.monodromy import (WL_MONODROMY, Monodromy,
                                    OrientationAssignment, TrackTemplate,
                                    coherent_orientations, is_coherent, witness)
@@ -185,6 +186,69 @@ def test_classify_infinite_coordinate():
 
 
 # ---------------------------------------------------------------------------
+# The L-space rule against knot surgery on the lines s = 1/n.
+# ---------------------------------------------------------------------------
+
+def _twist_knot_series(n, terms):
+    """The first ``terms`` coefficients of the torsion series
+    t Delta(t) / (1 - t) of the twist knot with Alexander polynomial
+    Delta(t) = n t - (2n - 1) + n t^-1: the partial sums of n, 1 - 2n, n."""
+    return list(itertools.accumulate((n, 1 - 2 * n, n) + (0,) * terms))[:terms]
+
+
+def _lspace_slopes_on_line(n, slopes):
+    """The slopes s of ``slopes`` for which (s, 1/n) is an L-space, after
+    checking that (1/n, s) gives the same verdict and that the homology is
+    (|p|, 1) for s = p/q."""
+    found = set()
+    for s in slopes:
+        v, w = classify(s, q(1, n)), classify(q(1, n), s)
+        assert v.homology == (abs(s.num), 1) == w.homology[::-1]
+        assert v.lspace is w.lspace
+        if v.lspace is YES:
+            found.add(s)
+    return found
+
+
+def test_lspace_rule_matches_twist_knot_surgery():
+    """The L-space rule agrees with Heegaard Floer theory on the lines
+    s2 = 1/n, given three facts from outside the paper.  Filling one
+    component of the Whitehead link with slope 1/n leaves a twist knot in
+    S^3 with Alexander polynomial n t - (2n - 1) + n t^-1, up to the sign
+    convention n <-> -n (Rolfsen, Knots and Links), so (s, 1/n) is
+    s-surgery on that knot.  A knot with an L-space surgery has a torsion
+    series with every coefficient in {0, 1} (Ozsvath-Szabo, Topology 2005);
+    for such a knot of genus g, s-surgery is an L-space exactly when
+    s >= 2g - 1 (Ozsvath-Szabo, AGT 2011).  No check depends on the sign
+    convention."""
+    slopes = [INF] + [q(p, d) for p in range(-20, 21) for d in range(1, 8)
+                      if gcd(p, d) == 1]
+    for n in (*range(-6, -1), *range(2, 7)):
+        assert not set(_twist_knot_series(n, 4)) <= {0, 1}
+        assert _lspace_slopes_on_line(n, slopes) == {INF}
+    # Of n = 1 and n = -1, one series is 1, 0, 1, 1, ... (the trefoil, of
+    # genus 1) and the other -1, 2, 1, ... (the figure-eight), so exactly
+    # one of the two lines has finite L-space slopes: the s >= 2g - 1 = 1.
+    assert [_twist_knot_series(n, 4) for n in (1, -1)] == [[1, 0, 1, 1],
+                                                          [-1, 2, 1, 1]]
+    lines = {n: _lspace_slopes_on_line(n, slopes) for n in (1, -1)}
+    # {inf}, and inf with the 78 reduced p/q >= 1 of the sample
+    assert sorted(len(found) for found in lines.values()) == [1, 79]
+    found = max(lines.values(), key=len)
+    assert found == {INF} | {s for s in slopes[1:] if s >= ONE}
+    # The same interval from the library's torsion machinery: the
+    # trefoil's profile flags the columns up to deg t Delta(t) = 2 at which
+    # its series is 1; every later column is 1.
+    series = _twist_knot_series(1, 3)
+    profile = TorsionProfile(1, 2, {(k, 0) for k, c in enumerate(series) if c})
+    assert profile == TorsionProfile(1, 2, {(0, 0), (2, 0)})
+    chosen = select_interval(interval_candidates(compute_d_positive(profile)),
+                             min(found - {INF}))
+    assert str(chosen) == "[1,inf]"
+    assert found == {s for s in slopes if chosen.contains(s)}
+
+
+# ---------------------------------------------------------------------------
 # Properties of the classifier.
 # ---------------------------------------------------------------------------
 
@@ -267,6 +331,9 @@ def test_verdict_json_schema():
     assert doc["citations"][0] == "lspace-threshold"
     non_qhs = classify(q(0), q(5)).to_json_dict()
     assert non_qhs["lspace"] == "na" and non_qhs["left_orderable"] == "na"
+    # A member prints as the text the JSON writes for it.
+    assert [str(m) for m in Ternary] == ["yes", "no", "na"]
+    assert [str(m) for m in Orderable] == ["yes", "no", "unknown", "na"]
 
 
 def test_plot_class_buckets():
