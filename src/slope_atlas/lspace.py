@@ -25,7 +25,7 @@ class TorsionProfile(Record):
 
     __slots__ = _fields = ("torsion_order", "threshold", "support")
 
-    def __init__(self, torsion_order, threshold, support=frozenset()):
+    def __init__(self, torsion_order, threshold, support):
         p, c = torsion_order, threshold
         support = frozenset(support)
         # type(), not isinstance(): bool is a subclass of int.

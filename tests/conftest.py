@@ -1,5 +1,12 @@
 """Shared pytest plumbing: the acceptance tests record one line per
-criterion and the lines are echoed in the terminal summary."""
+criterion and the lines are echoed in the terminal summary.  Every
+hypothesis test draws the same examples on every run; each keeps its own
+max_examples and deadline."""
+
+from hypothesis import settings
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 ACCEPTANCE_LINES = []
 

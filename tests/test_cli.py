@@ -26,7 +26,7 @@ from slope_atlas.rational import slope_terms
 from slope_atlas.slopes import (INF, MAX_SLOPE_TOKEN, CircularArc,
                                 ExtRational, Region, parse_slope)
 from slope_atlas.whitehead import _cell, classify, plot_class
-from test_slopes import _sample_points
+from test_slopes import TOKEN_SPELLINGS, _sample_points
 from test_whitehead import literal_cell
 
 
@@ -193,7 +193,7 @@ def test_main_calls_the_command_function_bound_when_it_runs(
     assert (args.s1, args.s2, args.out) == ("-1", "2/3", None)
 
 
-def test_console_script_entry_point():
+def test_python_m_slope_atlas_cli_runs_main():
     proc = subprocess.run(
         [sys.executable, "-m", "slope_atlas.cli", "classify", "1", "1"],
         capture_output=True, text=True, env=_child_env())
@@ -977,7 +977,7 @@ def _pairwise_batch(path):
     orderable = dict.fromkeys(["yes", "no", "unknown", "na"], 0)
     agree = 0
     errors = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         width = len(next(reader))
         records = [["id", "s1", "s2", "qhs", "h1", "h2", "lspace",
@@ -1125,7 +1125,7 @@ def _batch_input(path, rows):
     the csv module, every field quoted, and return its path.  Minimal
     quoting would leave a bare CR unquoted on some Python versions, and the
     row holding it would read back as two."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(
             [("id", "s1", "s2", "label"), *rows])
     return str(path)
@@ -1189,11 +1189,12 @@ def test_batch_token_table_matches_pairwise_classify(tmp_path, capsys):
     # More distinct tokens than the cache holds, so it drops the least
     # recently used; early tokens and dropped ones come back, space-padded
     # or not, beside the odd spellings, malformed fields and ids and
-    # labels csv must quote.
+    # labels csv must quote.  Every one of TOKEN_SPELLINGS, read or
+    # refused, is an early token, so each comes back beside itself too.
     cap = cli_batch._BATCH_TOKENS
     rng = random.Random(8)
     fresh = _distinct_tokens(rng, cap + 300)
-    early = fresh[:200] + list(FACT_REPRESENTATIVES) + list(ODD_SPELLINGS)
+    early = fresh[:200] + list(FACT_REPRESENTATIVES) + TOKEN_SPELLINGS
     bad = ["x", "1/0/2", "", " 1.5 ", "0/0", "9" * (MAX_SLOPE_TOKEN + 1)]
     idents = ["a,b", 'q"uote', "line\nbreak", "cr\rx", "  padded  "]
     labels = ["yes", "no", "unknown", "na", "y,es", ' "no" ']
@@ -1214,7 +1215,7 @@ def test_batch_token_table_matches_pairwise_classify(tmp_path, capsys):
     assert run_cli("batch", src, "--out", str(out)) == 2
     captured = capsys.readouterr()
     want_out, want_records, want_summary, want_err = _pairwise_batch(src)
-    with open(out, newline="") as fh:
+    with open(out, newline="", encoding="utf-8") as fh:
         got = fh.read()
     # Every record reads back as written.  On some Python versions
     # csv.writer leaves a bare CR unquoted, so a reader splits that record

@@ -8,10 +8,21 @@ from slope_atlas import cli
 SRC = pathlib.Path(cli.__file__).parent
 
 # Names that no module under src/ mentions but that stay: each has a
-# ROADMAP item that would give it a caller, or an acceptance criterion
-# imports it.  A module name keeps every name the module defines.
+# ROADMAP item that would give it a caller, an acceptance criterion imports
+# it, or a benchmark workload calls it.
 KEEP = {
-    "branched",
+    # Criterion 6 checks the sink scan and the weight cone of every complex
+    # against the fundamental ray.
+    "complexes_for", "detect_sink_discs", "carried_weight_cone",
+    "fundamental_ray",
+    # The cones-free workload reads its complexes with from_json.
+    "from_json",
+    # ROADMAP item 5 tests its ray certificate on complexes built from
+    # random admissible source orders through the checked constructor.
+    "build_coherent_arc_complex",
+    # ROADMAP item 10's `monodromy --complexes` prints the isolated sectors
+    # and embeds to_json.
+    "isolated_sectors", "to_json",
     "TorsionProfile", "compute_d_positive", "interval_candidates",
     "select_interval",
     "witness",

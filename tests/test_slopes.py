@@ -101,23 +101,23 @@ def test_parse_and_format_round_trip():
     assert parse_slope(" 4/6 ") == q(2, 3)
 
 
-# The slope fields of the installed console script's token check in CI,
-# whose batch output is pinned byte for byte there: 18 readable spellings
-# and 10 refused ones.
-CI_TOKENS = ["3/5", "-3/5", "3/-5", "-3/-5", "0/-7", "-6/-4", "2/-1", "-4/0",
-             "1000001/1000000", "1000000/1000001", "-1000000/2000001",
-             "999999/-1000000", "-0", "007/010", "-007", "  5/6  ", "inf",
-             "98765432109876543210/-4", "0/0", "-0/-0", "+3", "1_0",
-             "1" * 101, "\uff11", "1/0/2", "1.5", "x", ""]
+# Slope spellings the grammar reads or refuses, each sign and zero spelling,
+# leading zeros, padding and a 20-digit numerator among them: 18 readable
+# spellings and 10 refused ones.  test_cli runs them through batch too.
+TOKEN_SPELLINGS = [
+    "3/5", "-3/5", "3/-5", "-3/-5", "0/-7", "-6/-4", "2/-1", "-4/0",
+    "1000001/1000000", "1000000/1000001", "-1000000/2000001",
+    "999999/-1000000", "-0", "007/010", "-007", "  5/6  ", "inf",
+    "98765432109876543210/-4", "0/0", "-0/-0", "+3", "1_0", "1" * 101,
+    "\uff11", "1/0/2", "1.5", "x", ""]
 
 
 def test_parse_slope_is_the_slope_of_the_lowest_terms():
-    # parse_slope builds its slope from the terms slope_terms has already
-    # reduced, without a second check or reduction; the slope must be the
-    # one the checking constructor builds from those terms, and a token
-    # slope_terms refuses must fail with the same message.
+    # The slope of a token is the one ExtRational builds from the lowest
+    # terms slope_terms reads, and a token slope_terms refuses makes
+    # parse_slope fail with the same message.
     read = 0
-    for tok in CI_TOKENS:
+    for tok in TOKEN_SPELLINGS:
         try:
             terms = slope_terms(tok)
         except ValueError as exc:

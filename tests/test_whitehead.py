@@ -758,7 +758,7 @@ def test_classify_matches_pairwise_oracle():
     grid = _oracle_grid()
     for s1 in grid:
         for s2 in grid:
-            # Dataclass equality compares every field, citation order too.
+            # Namedtuple equality compares every field, citation order too.
             assert classify(s1, s2) == _oracle_classify(s1, s2), (s1, s2)
 
 
