@@ -241,18 +241,28 @@ def isolated_sectors(c):
 class WeightSystem(Record):
     """Nonnegative integer weights per sector id, satisfying the switches.
 
-    ``weights`` is ((sector_id, weight), ...) in complex sector order,
-    stored as tuples, pairs included.
+    Stored apart as ``ids``, the sector ids in complex sector order, and
+    ``values``, the weights in the same order; the systems of one
+    `carried_weight_cone` result share one ``ids`` tuple.  The one field,
+    ``weights``, derives ((sector_id, weight), ...) from the two.  A pair
+    of any length but 2 raises ValueError.
     """
 
-    __slots__ = _fields = ("weights",)
+    __slots__ = ("ids", "values")
+    _fields = ("weights",)
 
     def __init__(self, weights):
-        _set_weights(self, tuple(map(tuple, weights)))
+        pairs = [(sid, w) for sid, w in weights]
+        _set_ids(self, tuple(sid for sid, _ in pairs))
+        _set_values(self, tuple(w for _, w in pairs))
+
+    @property
+    def weights(self):
+        return tuple(zip(self.ids, self.values))
 
 
-# The slot setter, which bypasses the refusing __setattr__.
-_set_weights = WeightSystem.weights.__set__
+# The slot setters, which bypass the refusing __setattr__.
+_set_ids, _set_values = WeightSystem.ids.__set__, WeightSystem.values.__set__
 
 
 def carried_weight_cone(c, bound):
@@ -279,14 +289,9 @@ def carried_weight_cone(c, bound):
     back-substitution only brings in smaller columns, so a pivot's weight
     depends only on free sectors of lower column.  Two systems therefore
     first differ at a free column, and the search visits free columns in
-    ascending order with ascending values.  Each (sector id, weight) pair
-    is one tuple, shared by every system of the result that holds it; a
-    system copies the pairs kept on the branch into its slot, set on an
-    instance allocated with no call to ``__init__``.  A free sector's pair,
-    and the pivot pair of each row complete at its depth, is interned once
-    every row checked there passes.  A weight that a check cuts is never
-    interned, so the intern dicts hold accepted pairs, not one per value up
-    to bound.
+    ascending order with ascending values.  A system is allocated with no
+    call to ``__init__``: its slots get the sector order, one tuple shared
+    by the whole result, and a copy of the branch's weights.
 
     The cyclic garbage collector is paused for the search, process-wide,
     and enabled again after it if it was enabled on entry.  The search
@@ -319,16 +324,12 @@ def carried_weight_cone(c, bound):
     if not free:   # every row is d * w[pivot] = 0
         return (WeightSystem(tuple((sid, 0) for sid in order)),)
     fl = free.pop()   # the last free column, run by the leaf loop
-    n, shared = len(free), [{} for _ in order]   # weight -> (id, weight)
-    depth = {f: i for i, f in enumerate(free + [fl])}
+    n, depth = len(free), {f: i for i, f in enumerate(free + [fl])}
     # pairs[i]: (pivot, c) per row with c != 0 on free[i], as the sums step.
     # checks[i]: (pivot, least, most, d, d * bound, complete) for the same
     # rows in the same order; the free sectors after free[i] add least..most.
     # last: (pivot, c, d, d * bound) per row on fl, all complete there.
-    # done[i]: (column, intern dict, id) of free[i] and of the pivots of the
-    # rows that complete at depth i; done[n] holds the pivots only.
     pairs, checks, last = [[] for _ in free], [[] for _ in free], []
-    done = [[(f, shared[f], order[f])] for f in free] + [[]]
     for p, row in reduced.items():
         d = row.pop(p)
         least = most = 0
@@ -342,13 +343,10 @@ def carried_weight_cone(c, bound):
                                          f == tail[0]))
             least -= bound * max(row[f], 0)
             most -= bound * min(row[f], 0)
-        if tail:
-            done[depth[tail[0]]].append((p, shared[p], order[p]))
     sums, w = [0] * len(order), [0] * len(order)   # sums: per pivot row
-    cur = list(zip(order, w))   # pivots of no free sector stay (id, 0)
-    done_fl, shared_fl, id_fl = done[n], shared[fl], order[fl]
     out, i = [], 0
-    new, set_weights, append = object.__new__, _set_weights, out.append
+    new, set_ids, set_values = object.__new__, _set_ids, _set_values
+    append = out.append
     paused = gc.isenabled()
     if paused:
         gc.disable()
@@ -362,13 +360,10 @@ def carried_weight_cone(c, bound):
                             break
                         w[p] = s // d
                     else:
-                        cur[fl] = (shared_fl.get(v)
-                                   or shared_fl.setdefault(v, (id_fl, v)))
-                        for p, sh, sid in done_fl:
-                            x = w[p]
-                            cur[p] = sh.get(x) or sh.setdefault(x, (sid, x))
+                        w[fl] = v
                         ws = new(WeightSystem)
-                        set_weights(ws, tuple(cur))
+                        set_ids(ws, order)
+                        set_values(ws, tuple(w))
                         append(ws)
                 i -= 1
             else:
@@ -378,9 +373,6 @@ def carried_weight_cone(c, bound):
                         break
                     w[p] = s // d   # final once the row is complete
                 else:
-                    for p, sh, sid in done[i]:
-                        x = w[p]
-                        cur[p] = sh.get(x) or sh.setdefault(x, (sid, x))
                     i += 1
                     continue
             # Step to the next assignment, backing out of sectors at bound.

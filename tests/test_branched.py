@@ -154,10 +154,12 @@ def _plain_complex(ids, *switches):
         tuple(BranchArc(f"C{i}", *sw) for i, sw in enumerate(switches)))
 
 
-def _assert_pairs_shared(cone):
-    """Equal (id, weight) pairs within one result are one shared tuple."""
-    pairs = list(itertools.chain.from_iterable(ws.weights for ws in cone))
-    assert len(set(map(id, pairs))) == len(set(pairs))
+def _assert_ids_shared(cone):
+    """Every system of one result holds the one ids tuple of the call, and
+    its values are its weights in sector order."""
+    for ws in cone:
+        assert ws.ids is cone[0].ids
+        assert ws.values == tuple(w for _, w in ws.weights)
 
 
 def _arc_map(c):
@@ -436,7 +438,7 @@ def test_weight_cone_matches_product_search_on_generated_family():
             for bound in range(5):
                 cone = carried_weight_cone(c, bound)
                 assert cone == _product_cone(c, bound)
-                _assert_pairs_shared(cone)
+                _assert_ids_shared(cone)
 
 
 def test_weight_cone_matches_product_search_on_free_complexes():
@@ -448,10 +450,10 @@ def test_weight_cone_matches_product_search_on_free_complexes():
         for bound in range(5):
             cone = carried_weight_cone(c, bound)
             assert cone == _product_cone(c, bound)
-            _assert_pairs_shared(cone)
+            _assert_ids_shared(cone)
 
 
-def test_weight_cone_shares_pairs_in_every_free_layout():
+def test_weight_cone_shares_ids_in_every_free_layout():
     # Every placement of the switch's sectors among 8 columns, at bound 2.
     # The pivot is the largest of its columns and completes at the next
     # largest, so the layouts include a pivot before the last free column
@@ -471,12 +473,13 @@ def test_weight_cone_shares_pairs_in_every_free_layout():
         big, a, b = map(ids.index, switch)
         assert all(r[big] == r[a] + r[b] and max(r) <= 2 for r in rows)
         assert all(x < y for x, y in zip(rows, rows[1:])), switch
-        _assert_pairs_shared(cone)
+        _assert_ids_shared(cone)
 
 
-def test_weight_cone_memory_follows_pairs_met_not_bound():
+def test_weight_cone_memory_follows_systems_not_bound():
     # w[i+1] = 2 * w[i] along 20 sectors: at any bound below 2^19 only
-    # the zero system remains.
+    # the zero system remains.  The table is the size of one (id, weight)
+    # pair per sector and value, which the search must not keep.
     ids = [f"S{j}" for j in range(20)]
     c = BranchComplex(
         tuple(Sector(sid, SectorKind.DISC, False) for sid in ids),
@@ -506,11 +509,11 @@ def test_weight_cone_keeps_the_collector_state(monkeypatch):
     finally:
         gc.enable()
 
-    def failing(ws, weights):
+    def failing(ws, values):
         raise RuntimeError("no system")
 
-    # The search sets each system's slot itself, so the failure goes there.
-    monkeypatch.setattr(branched, "_set_weights", failing)
+    # The search sets each system's slots itself, so the failure goes there.
+    monkeypatch.setattr(branched, "_set_values", failing)
     with pytest.raises(RuntimeError, match="no system"):
         carried_weight_cone(c, 1)
     assert gc.isenabled()
@@ -538,6 +541,18 @@ def test_weight_cone_systems_meet_the_record_contract():
                       copy.deepcopy(ws)):
             assert type(clone) is WeightSystem and clone == ws
             assert repr(clone) == repr(ws)
+
+
+@pytest.mark.parametrize("wrap", [tuple, list, iter],
+                         ids=["tuple", "list", "iterator"])
+def test_weight_system_stores_ids_and_values_apart(wrap):
+    pairs = (("A", 1), ("B", 0), ("C", 1))
+    ws = WeightSystem(wrap([wrap(p) for p in pairs]))
+    assert ws.ids == ("A", "B", "C") and ws.values == (1, 0, 1)
+    assert ws.weights == pairs and ws == WeightSystem(pairs)
+    for bad in (("A", 1, 2), ("A",)):
+        with pytest.raises(ValueError):
+            WeightSystem(wrap([wrap(("B", 0)), wrap(bad)]))
 
 
 def test_weight_cone_runs_no_collection():
@@ -594,7 +609,7 @@ def test_weight_cone_matches_oracle_on_random_complexes(c, bound):
     # A = A + A pins its only sector to 0, so no sector is free.
     cone = carried_weight_cone(c, bound)
     assert cone == weight_cone_oracle(c, bound)
-    _assert_pairs_shared(cone)
+    _assert_ids_shared(cone)
 
 
 def test_weight_cone_of_many_isolated_sectors_at_bound_zero():
