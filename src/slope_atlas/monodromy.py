@@ -82,10 +82,6 @@ class Witness(Record):
     def __init__(self, template, slope, parametric, x=None, y=None):
         self._init(template, slope, parametric, x, y)
 
-    @property
-    def arc(self):
-        return realized_interval(self.template)
-
 
 def witness(template, slope):
     """A witness that the slope lies in the template's realized interval.

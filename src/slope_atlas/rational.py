@@ -86,9 +86,7 @@ class ExtRational(Record):
         if type(num) is not int or type(den) is not int:
             raise ValueError("slope components must be integers, got "
                              f"({num!r}, {den!r})")
-        num, den = lowest_terms(num, den)
-        _set_num(self, num)
-        _set_den(self, den)
+        self._init(*lowest_terms(num, den))
 
     def __eq__(self, other):
         if other.__class__ is not ExtRational:
@@ -121,11 +119,6 @@ class ExtRational(Record):
 
     def __repr__(self):
         return f"ExtRational({self})"
-
-
-# The slot setters, which bypass the refusing __setattr__.
-_set_num = ExtRational.num.__set__
-_set_den = ExtRational.den.__set__
 
 
 INF = ExtRational(1, 0)

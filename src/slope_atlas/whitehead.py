@@ -11,7 +11,6 @@ region modules when called, so the verdict path loads none of them.
 
 import collections
 import enum
-import functools
 
 # Pairing of the relative Euler class with either once-punctured-torus fiber
 # half; fixed by the construction, independent of the filling.
@@ -166,7 +165,6 @@ _AT_LEAST_ONE = ("positive-integer", "above-one")
 _EULER = ("positive-integer", "negative-integer", "euler")
 
 
-@functools.cache
 def _decide(f1, f2):
     """The verdict rules, on the cells of the two slopes."""
     na = Ternary.NOT_APPLICABLE

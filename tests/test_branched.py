@@ -478,8 +478,9 @@ def test_weight_cone_shares_ids_in_every_free_layout():
 
 def test_weight_cone_memory_follows_systems_not_bound():
     # w[i+1] = 2 * w[i] along 20 sectors: at any bound below 2^19 only
-    # the zero system remains.  The table is the size of one (id, weight)
-    # pair per sector and value, which the search must not keep.
+    # the zero system remains.  The search keeps no table per sector and
+    # value: `table` is the size of one small tuple for each, and the
+    # search's peak must stay far below it.
     ids = [f"S{j}" for j in range(20)]
     c = BranchComplex(
         tuple(Sector(sid, SectorKind.DISC, False) for sid in ids),

@@ -7,7 +7,7 @@ from slope_atlas import cli
 
 SRC = pathlib.Path(cli.__file__).parent
 
-# Names that no module under src/ mentions but that stay: each has a
+# Names that no module under src/ uses but that stay: each has a
 # ROADMAP item that would give it a caller, an acceptance criterion imports
 # it, or a benchmark workload calls it.
 KEEP = {
@@ -36,40 +36,84 @@ def _is_def(node):
                              ast.ClassDef))
 
 
-def _names():
-    """(module, name) of every top-level function and class and of every
-    non-dunder method of a top-level class, and the set of names that some
-    module mentions: as a name, an attribute or an import alias."""
-    defined, mentioned = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+def _scan(modules):
+    """Scan ``modules``, a map of module name to source text.
+
+    Returns the (module, name) of every top-level function and class and of
+    every non-dunder method of a top-level class, and the list of those
+    that no module uses.  A top-level name is used when some module
+    mentions it: as a name, an attribute or an import alias.  A method or
+    property is used only when some module reads it as an attribute or
+    names it in a string constant, as the `_fields` tuples do; a local
+    variable of the same name does not count.
+    """
+    tops, methods = [], []
+    names, attrs, strings = set(), set(), set()
+    for module, text in modules.items():
+        tree = ast.parse(text)
         for node in filter(_is_def, tree.body):
-            defined.append((path.stem, node.name))
+            tops.append((module, node.name))
             if isinstance(node, ast.ClassDef):
-                defined += [(path.stem, item.name)
+                methods += [(module, item.name)
                             for item in filter(_is_def, node.body)
                             if not (item.name.startswith("__")
                                     and item.name.endswith("__"))]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                mentioned.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                mentioned.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
-                mentioned.update((node.name, node.asname))
-    # `main` looks each command's function up by name.
-    mentioned.update("cmd_" + name for name in cli.COMMANDS)
-    return defined, mentioned
+                names.update((node.name, node.asname))
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                strings.add(node.value)
+    unused = [(m, n) for m, n in tops if n not in names and n not in attrs]
+    unused += [(m, n) for m, n in methods
+               if n not in attrs and n not in strings]
+    return tops + methods, unused
+
+
+def _src_scan():
+    return _scan({path.stem: path.read_text(encoding="utf-8")
+                  for path in sorted(SRC.glob("*.py"))})
 
 
 def test_every_library_name_has_a_library_caller_or_is_kept():
-    defined, mentioned = _names()
-    dead = sorted(f"{module}.{name}" for module, name in defined
-                  if name not in mentioned and not KEEP & {module, name})
-    assert not dead, "no module under src/ mentions " + ", ".join(dead)
+    # `main` looks each command's function up by name.
+    looked_up = {"cmd_" + name for name in cli.COMMANDS}
+    _, unused = _src_scan()
+    dead = sorted(f"{module}.{name}" for module, name in unused
+                  if name not in looked_up and not KEEP & {module, name})
+    assert not dead, "no module under src/ uses " + ", ".join(dead)
 
 
 def test_every_kept_name_still_exists():
-    defined, _ = _names()
+    defined, _ = _src_scan()
     known = {module for module, _ in defined} | {name for _, name in defined}
     assert KEEP <= known, sorted(KEEP - known)
+
+
+def test_a_method_is_used_only_as_an_attribute_or_a_field():
+    # `norm` is dead although a local variable shares its name; `x` is
+    # read only through `_fields`, as `Record` reads its fields.
+    source = """
+class Point(Record):
+    _fields = ("x",)
+
+    @property
+    def x(self):
+        return 0
+
+    def norm(self):
+        return 0
+
+
+def length(point):
+    norm = 0
+    return norm
+
+
+ORIGIN = length(Point())
+"""
+    assert _scan({"m": source})[1] == [("m", "norm")]

@@ -249,7 +249,7 @@ def _sample_multislopes(rng, regions, dim, count=60):
     return out
 
 
-def test_region_union_and_intersection_membership():
+def test_region_union_membership():
     rng = random.Random(17)
     for _ in range(150):
         dim = rng.choice((1, 2, 3))
@@ -261,7 +261,7 @@ def test_region_union_and_intersection_membership():
             assert u.contains(m) == want, (r1, r2, m)
 
 
-def test_region_union_and_intersection_frozen_examples():
+def test_region_union_frozen_examples():
     below_one = Region(2, ((CircularArc(INF, ONE), CircularArc(INF, ONE)),))
     mixed = Region(2, ((CircularArc(ZERO, INF), CircularArc(INF, ZERO)),))
     assert region_union(below_one, mixed).contains((q(1), q(-1, 2)))
@@ -317,7 +317,7 @@ def test_infinity_line_semantics():
     assert not r.contains((q(-5), INF))
 
 
-def test_region_contains_function_alias():
+def test_one_dimensional_region_membership():
     r = Region(1, ((CircularArc(ZERO, INF),),))
     assert r.contains((ONE,))
     assert not r.contains((INF,))

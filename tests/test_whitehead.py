@@ -252,66 +252,11 @@ def test_lspace_rule_matches_twist_knot_surgery():
 # Properties of the classifier.
 # ---------------------------------------------------------------------------
 
-def _some_slopes(rng, count):
-    out = [INF, q(0), q(1), q(-1), q(1, 2)]
-    while len(out) < count:
-        out.append(q(rng.randint(-20, 20), rng.randint(1, 8)))
-    return out
-
-
-def test_classifier_symmetric_in_the_components():
-    rng = random.Random(53)
-    slopes = _some_slopes(rng, 40)
-    for s1 in slopes:
-        for s2 in slopes:
-            a, b = classify(s1, s2), classify(s2, s1)
-            assert a.slope == (s1, s2) and b.slope == (s2, s1)
-            assert a.homology == tuple(reversed(b.homology))
-            assert (a.is_qhs, a.lspace, a.taut_foliation,
-                    a.euler_vanishing, a.left_orderable) == (
-                b.is_qhs, b.lspace, b.taut_foliation,
-                b.euler_vanishing, b.left_orderable)
-
-
-def test_qhs_iff_nonzero_numerators():
-    rng = random.Random(54)
-    for s1 in _some_slopes(rng, 25):
-        for s2 in _some_slopes(rng, 25):
-            v = classify(s1, s2)
-            assert v.is_qhs == (s1.num != 0 and s2.num != 0)
-            assert v.homology == (abs(s1.num), abs(s2.num))
-
-
 def test_foliation_region_frozen_points():
     region = wl_foliation_region()
     assert region.contains((q(1, 2), q(3)))    # straddling box around zero
     assert region.contains((q(1), q(-1)))      # mixed-sign box
     assert not region.contains((q(3, 2), q(2)))
-
-
-def test_dichotomy_and_region_agreement_small_grid():
-    lspace_region = wl_lspace_region()
-    foliation_region = wl_foliation_region()
-    slopes = [q(p, qq) for p in range(1, 8) for qq in range(-7, 8)
-              if qq and gcd(p, abs(qq)) == 1]
-    slopes.append(INF)
-    for s1 in slopes:
-        for s2 in slopes:
-            v = classify(s1, s2)
-            assert (v.lspace is YES) != (v.taut_foliation is YES)
-            assert (v.lspace is YES) == lspace_region.contains((s1, s2))
-            assert (v.taut_foliation is YES) == foliation_region.contains(
-                (s1, s2))
-
-
-def test_foliation_region_is_min_below_one_on_finite_slopes():
-    region = wl_foliation_region()
-    rng = random.Random(55)
-    one = q(1)
-    for _ in range(2000):
-        s1, s2 = _random_finite_nonzero(rng), _random_finite_nonzero(rng)
-        want = s1 < one or s2 < one
-        assert region.contains((s1, s2)) == want
 
 
 def test_monodromy_constant():
@@ -720,12 +665,17 @@ def test_cell_table_keeps_the_papers_closing_claims():
     * No decided pair contradicts the conjecture.
     * The undecided pairs are exactly `UNDECIDED_CELL_PAIRS`.
     * A vanishing Euler class gives an orderable group.
+    * The verdict does not depend on the order of the two components, and
+      the filling is a rational homology sphere exactly when neither
+      slope is zero.
     """
     integer_cells = ("positive-integer", "negative-integer", "inf")
     undecided, integer_pairs = set(), 0
     for f1, f2 in itertools.product(sorted(SEVEN_CELLS), repeat=2):
         d = _decide(f1, f2)
         lo = d.left_orderable
+        assert d[:5] == _decide(f2, f1)[:5], (f1, f2)
+        assert d.is_qhs == ("zero" not in (f1, f2)), (f1, f2)
         if d.is_qhs:
             assert (d.lspace is YES) != (d.taut_foliation is YES), (f1, f2)
         if lo is Orderable.UNKNOWN:
@@ -765,18 +715,3 @@ def test_classify_matches_pairwise_oracle():
 @given(_slopes, _slopes)
 def test_classify_matches_oracle_on_random_slopes(s1, s2):
     assert classify(s1, s2) == _oracle_classify(s1, s2)
-
-
-def test_decide_memo_stays_bounded():
-    # The memo is keyed on cells, not slopes, so distinct slopes do not
-    # grow it past the 49 cell pairs: batch memory stays flat however long
-    # the input is.
-    rng = random.Random(56)
-    slopes = {INF, q(0)}
-    while len(slopes) < 10_000:
-        den = rng.choice((1, 2, rng.randint(1, 10**9)))
-        slopes.add(q(rng.randint(-10**9, 10**9), den))
-    slopes = list(slopes)
-    for s1, s2 in zip(slopes, slopes[1:] + slopes[:1]):
-        classify(s1, s2)
-    assert _decide.cache_info().currsize <= 49
